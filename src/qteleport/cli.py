@@ -89,18 +89,23 @@ class CliConfig:
     inject_corruption: bool
 
 
+def _parse_tol(raw: str, source: str) -> float:
+    """The one validator for --tol and QTELEPORT_TOL: a finite number > 0."""
+    try:
+        tol = float(raw)
+    except ValueError as exc:
+        raise UsageError(f"{source} must be a number, got {raw!r}") from exc
+    if not (np.isfinite(tol) and tol > 0):
+        raise UsageError(f"{source} must be finite and positive, got {raw!r}")
+    return tol
+
+
 def _resolve_tol(args: argparse.Namespace) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
+        return _parse_tol(args.tol, "--tol")
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
-        try:
-            tol = float(env)
-        except ValueError as exc:
-            raise UsageError(f"{TOL_ENV_VAR} must be a number, got {env!r}") from exc
-        if tol <= 0:
-            raise UsageError(f"{TOL_ENV_VAR} must be positive, got {env!r}")
-        return tol
+        return _parse_tol(env, TOL_ENV_VAR)
     return DEFAULT_TOL
 
 
@@ -311,7 +316,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", choices=("text", "json"), default="text")
     parser.add_argument(
         "--tol",
-        type=float,
         default=None,
         help=f"success tolerance (default {DEFAULT_TOL}, or the {TOL_ENV_VAR} env var)",
     )

@@ -11,8 +11,6 @@ import numpy as np
 TOL_APPROX = 1e-12
 TOL_HERM = 1e-10
 TOL_RECON = 1e-10
-JACOBI_OFF_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 100
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,29 +167,18 @@ def partial_trace(
     return reduced.reshape(d_keep, d_keep)
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
 def eig_hermitian(
     a: np.ndarray,
     *,
     herm_tol: float = TOL_HERM,
-    off_tol: float = JACOBI_OFF_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
     recon_tol: float = TOL_RECON,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy eigh).
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
     order and orthonormal eigenvectors as columns, so that
-    a == V @ diag(w) @ V.conj().T up to recon_tol.
-
-    Each rotation zeroes one off-diagonal pair: the pivot's complex phase is
-    absorbed into the rotation, reducing the step to a real 2x2 Jacobi
-    rotation. Sweeps stop when the off-diagonal Frobenius norm drops below
-    off_tol; exceeding max_sweeps raises.
+    a == V @ diag(w) @ V.conj().T up to recon_tol; a larger reconstruction
+    error raises.
     """
     a = as_complex_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -200,53 +187,8 @@ def eig_hermitian(
     if herm_dev > herm_tol:
         raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {herm_dev:.3e} > {herm_tol:.3e}")
 
-    n = a.shape[0]
-    w = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-
-    converged = _off_diagonal_norm(w) < off_tol
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                r = abs(apq)
-                if r < 1e-300:
-                    continue
-                phase = apq / r
-                tau = (w[q, q].real - w[p, p].real) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-
-                # w <- J^H w J with J the identity except in rows/cols p, q
-                col_p = w[:, p].copy()
-                col_q = w[:, q].copy()
-                w[:, p] = c * col_p - s * np.conj(phase) * col_q
-                w[:, q] = s * phase * col_p + c * col_q
-                row_p = w[p, :].copy()
-                row_q = w[q, :].copy()
-                w[p, :] = c * row_p - s * phase * row_q
-                w[q, :] = s * np.conj(phase) * row_p + c * row_q
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-                v[:, q] = s * phase * vec_p + c * vec_q
-        converged = _off_diagonal_norm(w) < off_tol
-    if not converged:
-        raise RuntimeError(f"Jacobi eigensolver did not converge within {max_sweeps} sweeps")
-
-    values = np.diag(w).real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
+    ascending, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
+    values, vectors = ascending[::-1], vectors[:, ::-1]
 
     recon = (vectors * values) @ vectors.conj().T
     recon_err = float(np.max(np.abs(recon - a)))

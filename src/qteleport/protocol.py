@@ -297,6 +297,42 @@ def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     return DensityMatrix(out)
 
 
+def _project(rho_in: DensityMatrix, ks: KrausSet) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """Unnormalized post-measurement states P_i rho P_i and their traces p_i."""
+    if rho_in.dim != 8:
+        raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
+    projectors = [a / 2.0 for a in ks.a_ops]
+    projected = [p @ rho_in.matrix @ p for p in projectors]
+    return projected, tuple(float(np.trace(m).real) for m in projected)
+
+
+def _corrected_branch(b: np.ndarray, projected: np.ndarray, p: float) -> DensityMatrix:
+    """Normalized post-state of one outcome after its correction b."""
+    return DensityMatrix(b @ projected @ dagger(b) / p)
+
+
+def _shot(
+    rho_in: DensityMatrix, ks: KrausSet, rng_seed: int | np.random.Generator
+) -> tuple[tuple[float, ...], int, DensityMatrix]:
+    """Outcome probabilities, the sampled outcome 1..4 and its corrected state."""
+    rng = (
+        rng_seed
+        if isinstance(rng_seed, np.random.Generator)
+        else np.random.default_rng(rng_seed)
+    )
+    projected, probabilities = _project(rho_in, ks)
+    eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
+    if not eligible:
+        raise ValueError("all measurement branches have vanishing probability")
+    u = rng.random() * sum(probabilities[i] for i in eligible)
+    acc = 0.0
+    for chosen in eligible:  # round-off past the total leaves the last eligible outcome
+        acc += probabilities[chosen]
+        if u < acc:
+            break
+    return probabilities, chosen + 1, _corrected_branch(ks.b_ops[chosen], projected[chosen], probabilities[chosen])
+
+
 def measurement_branches(
     rho_in: DensityMatrix, ks: KrausSet
 ) -> tuple[tuple[float, DensityMatrix | None], ...]:
@@ -305,19 +341,11 @@ def measurement_branches(
     Outcomes with probability at or below MIN_BRANCH_PROBABILITY carry None
     instead of a normalized state.
     """
-    if rho_in.dim != 8:
-        raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
-    rho = rho_in.matrix
-    branches: list[tuple[float, DensityMatrix | None]] = []
-    for a, b in zip(ks.a_ops, ks.b_ops):
-        projector = a / 2.0
-        m = projector @ rho @ projector
-        p = float(np.trace(m).real)
-        if p <= MIN_BRANCH_PROBABILITY:
-            branches.append((max(p, 0.0), None))
-        else:
-            branches.append((p, DensityMatrix(b @ m @ dagger(b) / p)))
-    return tuple(branches)
+    projected, probabilities = _project(rho_in, ks)
+    return tuple(
+        (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(b, m, p))
+        for b, m, p in zip(ks.b_ops, projected, probabilities)
+    )
 
 
 def single_shot(
@@ -330,25 +358,10 @@ def single_shot(
     Sampling draws a single uniform variate from a PCG64 generator seeded
     with rng_seed and inverts the cumulative distribution of the outcome
     probabilities, restricted to branches above MIN_BRANCH_PROBABILITY.
+    Only the sampled branch's corrected state is built.
     """
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
-    branches = measurement_branches(rho_in, ks)
-    eligible = [(i, p, state) for i, (p, state) in enumerate(branches) if state is not None]
-    if not eligible:
-        raise ValueError("all measurement branches have vanishing probability")
-    total = sum(p for _, p, _ in eligible)
-    u = rng.random() * total
-    acc = 0.0
-    for i, p, state in eligible:
-        acc += p
-        if u < acc:
-            return i + 1, state
-    last = eligible[-1]
-    return last[0] + 1, last[2]
+    _, outcome, state = _shot(rho_in, ks, rng_seed)
+    return outcome, state
 
 
 def _marginals(out: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
@@ -363,20 +376,27 @@ def run_protocol(
     mode: str = ENSEMBLE,
     rng_seed: int = 0,
 ) -> ProtocolReport:
-    """Run the protocol end to end and collect every diagnostic in one report."""
+    """Run the protocol end to end and collect every diagnostic in one report.
+
+    rng_seed must be a non-negative Python or numpy integer, since the report
+    echoes it; anything else raises ValueError before any work is done.
+    Single-shot runs build only the sampled branch's corrected state.
+    """
     _check_resource_index(resource_index)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    # bool is an int subclass but not a seed
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
     ks = kraus_set(resource_index)
     rho_in = build_initial_state(psi, resource_index)
-    branches = measurement_branches(rho_in, ks)
-    probabilities = tuple(p for p, _ in branches)
 
     if mode == ENSEMBLE:
         outcome: int | None = None
+        probabilities = tuple(p for p, _ in measurement_branches(rho_in, ks))
         output = teleport_channel(rho_in, ks)
     else:
-        outcome, output = single_shot(rho_in, ks, rng_seed)
+        probabilities, outcome, output = _shot(rho_in, ks, rng_seed)
 
     marginal_12, marginal_3 = _marginals(output)
     return ProtocolReport(

@@ -24,6 +24,8 @@ def round_sig(x: float, digits: int = SIGNIFICANT_DIGITS) -> float:
 
 
 def _number(x: float) -> float | int:
+    if x == 0:  # most entries of a report; skips the decimal round trip
+        return 0
     r = round_sig(x)
     return int(r) if r.is_integer() and abs(r) < 2**53 else r
 
@@ -43,13 +45,38 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     }
 
 
+def _require(doc: object, key: str) -> Any:
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _complex_list(doc: object, key: str) -> list[complex]:
+    """The [re, im] pairs stored under key, as complex numbers."""
+    pairs = _require(doc, key)
+    if not isinstance(pairs, list):
+        raise ValueError(f"{key!r} must be a list of [re, im] pairs, got {type(pairs).__name__}")
+    out = []
+    for n, pair in enumerate(pairs):
+        try:
+            re, im = pair if isinstance(pair, list) else ()
+            out.append(complex(float(re), float(im)))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{key}[{n}] must be a [re, im] pair of numbers, got {pair!r}") from exc
+    return out
+
+
 def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
-    entries = doc["entries"]
+    """Inverse of matrix_to_json; a malformed document raises ValueError."""
+    rows, cols = _require(doc, "rows"), _require(doc, "cols")
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in (rows, cols)):
+        raise ValueError(f"rows and cols must be non-negative integers, got {rows!r} and {cols!r}")
+    entries = _complex_list(doc, "entries")
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    return as_complex_array(flat.reshape(rows, cols))
+    return as_complex_array(np.array(entries, dtype=complex).reshape(rows, cols))
 
 
 def density_to_json(rho: DensityMatrix) -> dict[str, Any]:
@@ -57,8 +84,8 @@ def density_to_json(rho: DensityMatrix) -> dict[str, Any]:
 
 
 def density_from_json(doc: dict[str, Any]) -> DensityMatrix:
-    if doc.get("kind") != "density":
-        raise ValueError(f"expected kind 'density', got {doc.get('kind')!r}")
+    if _require(doc, "kind") != "density":
+        raise ValueError(f"expected kind 'density', got {doc['kind']!r}")
     return validate_density(matrix_from_json(doc))
 
 
@@ -67,9 +94,9 @@ def ket_to_json(k: Ket) -> dict[str, Any]:
 
 
 def ket_from_json(doc: dict[str, Any]) -> Ket:
-    if doc.get("kind") != "ket":
-        raise ValueError(f"expected kind 'ket', got {doc.get('kind')!r}")
-    return Ket(np.array([complex(re, im) for re, im in doc["amplitudes"]], dtype=complex))
+    if _require(doc, "kind") != "ket":
+        raise ValueError(f"expected kind 'ket', got {doc['kind']!r}")
+    return Ket(np.array(_complex_list(doc, "amplitudes"), dtype=complex))
 
 
 def qubit_to_json(psi: QubitState) -> dict[str, Any]:

@@ -180,17 +180,19 @@ def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix, *, psd_tol: float = TOL_PSD) -> float:
-    """Entropy -sum(p log2 p) of the spectrum, in bits; 0*log(0) counts as 0.
+    """Entropy sum(p log2(1/p)) of the spectrum, in bits.
 
-    Eigenvalues in [-psd_tol, 0) are clamped to 0 to absorb eigensolver
-    round-off.
+    The sum runs over the numerical support: eigenvalues at or below psd_tol
+    are eigensolver round-off of zero and are dropped, and the rest are
+    renormalized to sum to 1. A rank-1 state therefore has entropy exactly 0,
+    and no term is negative. An eigenvalue below -psd_tol raises NotPositive.
     """
     eigenvalues, _ = eig_hermitian(rho.matrix)
-    clamped = np.where(eigenvalues >= -psd_tol, np.maximum(eigenvalues, 0.0), eigenvalues)
-    if np.any(clamped < 0.0):
-        raise NotPositive("cannot take entropy of a non-PSD operator", float(-clamped.min()))
-    positive = clamped[clamped > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    if eigenvalues[-1] < -psd_tol:
+        raise NotPositive("cannot take entropy of a non-PSD operator", float(-eigenvalues[-1]))
+    support = eigenvalues[eigenvalues > psd_tol]
+    p = support / np.sum(support)
+    return float(np.sum(p * np.log2(1.0 / p)))
 
 
 def random_qubit_state(rng: np.random.Generator) -> QubitState:

@@ -138,6 +138,16 @@ class TestTeleportCommand:
         assert main(["teleport", "--alpha", "1"]) == EXIT_OK
 
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "abc"])
+    def test_flag_and_env_tol_share_one_validator(self, value, capsys, monkeypatch):
+        assert main(["teleport", "--alpha", "1", f"--tol={value}"]) == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+        monkeypatch.setenv("QTELEPORT_TOL", value)
+        assert main(["teleport", "--alpha", "1"]) == EXIT_USAGE
+        assert "QTELEPORT_TOL" in capsys.readouterr().err
+        assert main(["teleport", "--alpha", "1", "--tol", "1e-6"]) == EXIT_OK
+
+
 class TestSwapCompareCommand:
     def test_text_output_and_exit_code(self, capsys):
         assert main(["swap-compare", "--alpha", "0.6", "--beta", "0.8i"]) == EXIT_OK

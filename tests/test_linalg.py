@@ -1,4 +1,4 @@
-"""Core dense-complex algebra: products, tensor structure, Jacobi eigensolver."""
+"""Core dense-complex algebra: products, tensor structure, Hermitian eigensolver."""
 
 import numpy as np
 import pytest

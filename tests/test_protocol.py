@@ -394,6 +394,44 @@ class TestRunProtocol:
         assert report.output_entropy_bits == pytest.approx(0.0, abs=1e-9)
         assert report.outcome_probabilities == pytest.approx((0.25,) * 4, abs=1e-10)
 
+    def test_pure_single_shot_output_has_exactly_zero_entropy(self):
+        assert run_protocol(QubitState(1, 0), 1, SINGLE_SHOT, 3).output_entropy_bits == 0.0
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_single_shot_report_uses_the_branch_arithmetic(self, resource):
+        # run_protocol, single_shot and measurement_branches must agree bit for bit
+        psi = QubitState(0.6, 0.8j)
+        rho_in = build_initial_state(psi, resource)
+        ks = kraus_set(resource)
+        branches = measurement_branches(rho_in, ks)
+        for seed in range(8):
+            report = run_protocol(psi, resource, SINGLE_SHOT, seed)
+            outcome, state = single_shot(rho_in, ks, seed)
+            assert report.outcome == outcome
+            assert np.array_equal(report.output_density.matrix, state.matrix)
+            assert np.array_equal(state.matrix, branches[outcome - 1][1].matrix)
+            assert report.outcome_probabilities == tuple(p for p, _ in branches)
+
+    def test_numpy_integer_seed_is_echoed_as_int(self):
+        report = run_protocol(QubitState(0.6, 0.8j), 1, SINGLE_SHOT, np.int64(9))
+        assert type(report.seed) is int
+        same = run_protocol(QubitState(0.6, 0.8j), 1, SINGLE_SHOT, 9)
+        assert dumps(report_to_json(report)) == dumps(report_to_json(same))
+
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.default_rng(0), 1.5, "3", None, True, -1],
+        ids=["generator", "float", "str", "none", "bool", "negative"],
+    )
+    def test_rejects_bad_seed_before_any_work(self, seed, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the protocol ran before the seed was checked")
+
+        monkeypatch.setattr("qteleport.protocol.build_initial_state", fail)
+        for mode in (ENSEMBLE, SINGLE_SHOT):
+            with pytest.raises(ValueError, match="rng_seed"):
+                run_protocol(QubitState(1, 0), 1, mode, seed)
+
     def test_fixed_seed_reports_are_byte_identical(self):
         first = run_protocol(QubitState(0.6, 0.8j), 1, SINGLE_SHOT, rng_seed=9)
         second = run_protocol(QubitState(0.6, 0.8j), 1, SINGLE_SHOT, rng_seed=9)

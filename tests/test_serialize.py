@@ -45,6 +45,23 @@ class TestMatrixSchema:
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({}, "missing key 'rows'"),
+            ({"rows": 1, "cols": 1}, "missing key 'entries'"),
+            ({"rows": 1, "cols": 1, "entries": [[1]]}, r"entries\[0\] must be a \[re, im\] pair"),
+            ({"rows": 1, "cols": 1, "entries": [["a", 0]]}, r"entries\[0\] must be a \[re, im\] pair"),
+            ({"rows": 1, "cols": 1, "entries": "1,0"}, "'entries' must be a list"),
+            ({"rows": "1", "cols": 1, "entries": [[1, 0]]}, "non-negative integers"),
+            ([[1, 0]], "expected a JSON object"),
+        ],
+        ids=["empty", "no-entries", "short-pair", "non-number", "entries-not-list", "rows-not-int", "not-object"],
+    )
+    def test_malformed_documents_raise_value_error(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_from_json(doc)
+
     def test_significant_digit_rounding(self):
         assert round_sig(1 / 3) == 0.333333333333
         assert round_sig(0.25) == 0.25

@@ -133,6 +133,28 @@ class TestEntropy:
         rho = DensityMatrix(identity(4) / 4.0)
         assert von_neumann_entropy(rho) == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_pure_states_have_exactly_zero_entropy(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert von_neumann_entropy(ket_to_density(ket(raw, renormalize=True))) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_negative(self, seed):
+        # rank-1 and rank-2 states: their zero eigenvalues come back from the
+        # eigensolver as round-off of either sign
+        rng = np.random.default_rng(seed)
+        for dim, rank in [(2, 1), (4, 1), (4, 2), (8, 1), (8, 2)]:
+            for _ in range(20):
+                g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+                m = g @ g.conj().T
+                assert von_neumann_entropy(DensityMatrix(m / np.trace(m).real)) >= 0.0
+
+    def test_rejects_negative_spectrum(self):
+        with pytest.raises(NotPositive):
+            von_neumann_entropy(DensityMatrix(np.diag([1.5, -0.5]).astype(complex)))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_unitary_invariance(self, seed):
         rng = np.random.default_rng(seed)
