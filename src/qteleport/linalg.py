@@ -68,16 +68,6 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
     return float(np.max(np.abs(a - b))) <= tol
 
 
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    a = np.asarray(a, dtype=complex)
-    return a.shape[0] == a.shape[1] and float(np.max(np.abs(a - a.conj().T))) <= tol
-
-
-def is_unitary(a: np.ndarray, tol: float = TOL_APPROX) -> bool:
-    a = np.asarray(a, dtype=complex)
-    return approx_eq(a.conj().T @ a, np.eye(a.shape[0]), tol)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Virtual tensor-product structure of one indivisible Hilbert space.

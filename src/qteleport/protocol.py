@@ -64,8 +64,7 @@ class BellBasis:
     vectors: tuple[Ket, Ket, Ket, Ket]
 
     def vector(self, index: int) -> Ket:
-        _check_resource_index(index)
-        return self.vectors[index - 1]
+        return self.vectors[_check_resource_index(index) - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,8 +151,10 @@ class SwapComparison:
 
 
 def _check_resource_index(index: int) -> int:
-    if index not in RESOURCE_INDICES:
-        raise ValueError(f"index must be one of {RESOURCE_INDICES}, got {index}")
+    """index as a Python int; ValueError unless it is an integer in RESOURCE_INDICES."""
+    # bool is an int subclass but not an index, and 1.0 == 1 is not an integer
+    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index not in RESOURCE_INDICES:
+        raise ValueError(f"index must be one of {RESOURCE_INDICES}, got {index!r}")
     return int(index)
 
 
@@ -186,7 +187,7 @@ def bits_to_index(a: int, b: int, c: int) -> int:
 
 def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatrix:
     """Pre-protocol state: |psi><psi| on factor 0, Bell resource on factors 1, 2."""
-    _check_resource_index(resource_index)
+    resource_index = _check_resource_index(resource_index)
     bell_density = _doubled_bell_projector(resource_index) / 2.0
     return DensityMatrix(kron(ket_to_density(psi.ket()).matrix, bell_density))
 
@@ -234,7 +235,7 @@ def derive_corrections(resource_index: int) -> CorrectionSet:
     and P a Pauli or the identity; the first candidate (Pauli-major order)
     restoring the input on factor 2 for every spanning state wins.
     """
-    _check_resource_index(resource_index)
+    resource_index = _check_resource_index(resource_index)
     branch_sets = [_uncorrected_branches(psi, resource_index) for psi in _SPANNING_STATES]
     found: list[np.ndarray] = []
     for outcome in range(4):
@@ -266,7 +267,7 @@ def derive_corrections(resource_index: int) -> CorrectionSet:
 
 def correction_set(resource_index: int) -> CorrectionSet:
     """Production corrections: the published resource-1 set, derived sets otherwise."""
-    _check_resource_index(resource_index)
+    resource_index = _check_resource_index(resource_index)
     if resource_index == 1:
         return CorrectionSet(1, _RESOURCE_1_CORRECTIONS)
     return derive_corrections(resource_index)
@@ -275,7 +276,7 @@ def correction_set(resource_index: int) -> CorrectionSet:
 @lru_cache(maxsize=None)
 def kraus_set(resource_index: int = 1) -> KrausSet:
     """Measurement and correction operators for the chosen Bell resource."""
-    _check_resource_index(resource_index)
+    resource_index = _check_resource_index(resource_index)
     a_ops = tuple(
         _frozen(kron(_doubled_bell_projector(i), IDENTITY_2)) for i in RESOURCE_INDICES
     )
@@ -382,7 +383,7 @@ def run_protocol(
     echoes it; anything else raises ValueError before any work is done.
     Single-shot runs build only the sampled branch's corrected state.
     """
-    _check_resource_index(resource_index)
+    resource_index = _check_resource_index(resource_index)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     # bool is an int subclass but not a seed

@@ -7,6 +7,8 @@ runs are byte-identical and parse-print round trips stay within 1e-12.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any
 
 import numpy as np
@@ -38,10 +40,11 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     m = as_complex_array(m)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
+    flat = m.reshape(-1)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [complex_pair(z) for z in m.reshape(-1)],
+        "entries": [[_number(re), _number(im)] for re, im in zip(flat.real.tolist(), flat.imag.tolist())],
     }
 
 
@@ -142,5 +145,70 @@ def comparison_to_json(comparison: SwapComparison) -> dict[str, Any]:
     }
 
 
+class _Unsupported(Exception):
+    """A value the direct writer leaves to json.dumps."""
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _is_number(x: Any) -> bool:
+    """An int or a finite float (not a bool): json prints these with repr."""
+    t = type(x)
+    return t is int or (t is float and isfinite(x))
+
+
+def _write(x: Any, indent: str, out: list[str]) -> None:
+    """Append x to out as json.dumps(x, indent=2) prints it at this indent."""
+    t = type(x)
+    if (t is dict or t is list) and not x:
+        out.append("{}" if t is dict else "[]")
+    elif t is dict:
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in x.items():
+            if type(key) is not str:
+                raise _Unsupported
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif t is list:
+        inner = indent + "  "
+        sep = ",\n" + inner
+        if all(map(_is_number, x)):
+            out.append("[\n" + inner + sep.join(map(repr, x)) + "\n" + indent + "]")
+            return
+        # [re, im] pairs, as in matrix entries: one template for the whole list
+        flat = [v for p in x if type(p) is list and len(p) == 2 for v in p]
+        if len(flat) == 2 * len(x) and all(map(_is_number, flat)):
+            pair = f"[\n{inner}  %r,\n{inner}  %r\n{inner}]"
+            out.append(("[\n" + inner + sep.join([pair] * len(x)) + "\n" + indent + "]") % tuple(flat))
+            return
+        for n, item in enumerate(x):
+            out.append(sep if n else "[\n" + inner)
+            _write(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif t is str:
+        out.append(encode_basestring_ascii(x))
+    elif _is_number(x):
+        out.append(repr(x))
+    elif x is None or t is bool:
+        out.append(_CONSTANTS[x])
+    else:
+        raise _Unsupported
+
+
 def dumps(doc: Any) -> str:
-    return json.dumps(doc, indent=2)
+    """Exactly json.dumps(doc, indent=2), written without the stdlib encoder.
+
+    Documents of dicts with str keys, lists, str, int, finite float, bool and
+    None are written directly; anything else (a tuple, a numpy scalar, NaN)
+    goes to json.dumps, so its output and its errors stay the stdlib's.
+    """
+    out: list[str] = []
+    try:
+        _write(doc, "", out)
+    except (_Unsupported, RecursionError):  # RecursionError: a circular document
+        return json.dumps(doc, indent=2)
+    return "".join(out)

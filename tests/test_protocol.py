@@ -418,6 +418,22 @@ class TestRunProtocol:
         same = run_protocol(QubitState(0.6, 0.8j), 1, SINGLE_SHOT, 9)
         assert dumps(report_to_json(report)) == dumps(report_to_json(same))
 
+    def test_numpy_integer_resource_index_is_stored_as_int(self):
+        report = run_protocol(QubitState(0.6, 0.8j), np.int64(2), SINGLE_SHOT, 9)
+        assert type(report.resource_index) is int
+        same = run_protocol(QubitState(0.6, 0.8j), 2, SINGLE_SHOT, 9)
+        assert dumps(report_to_json(report)) == dumps(report_to_json(same))
+
+    @pytest.mark.parametrize(
+        "index",
+        [True, np.True_, 1.0, np.float64(2.0)],
+        ids=["bool", "numpy-bool", "float", "numpy-float"],
+    )
+    def test_rejects_a_resource_index_that_is_not_an_integer(self, index):
+        for mode in (ENSEMBLE, SINGLE_SHOT):
+            with pytest.raises(ValueError, match="index must be one of"):
+                run_protocol(QubitState(1, 0), index, mode)
+
     @pytest.mark.parametrize(
         "seed",
         [np.random.default_rng(0), 1.5, "3", None, True, -1],

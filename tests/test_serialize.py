@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qteleport.linalg import identity
 from qteleport.protocol import ENSEMBLE, SINGLE_SHOT, compare_swap_vs_teleport, run_protocol
@@ -149,3 +151,71 @@ class TestReportDocuments:
         a = dumps(report_to_json(run_protocol(QubitState(0.6, 0.8j), 1, ENSEMBLE)))
         b = dumps(report_to_json(run_protocol(QubitState(0.6, 0.8j), 1, ENSEMBLE)))
         assert a == b
+
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.1, 1e16, 2.0**53, 1.7976931348623157e308]),
+)
+_STRINGS = st.text() | st.text(alphabet='a"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600')
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    _NUMBERS,
+    _STRINGS,
+    st.lists(_NUMBERS),
+    st.lists(st.tuples(_NUMBERS, _NUMBERS).map(list)),
+)
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children) | st.dictionaries(_STRINGS, children),
+    max_leaves=30,
+)
+
+
+class TestDumps:
+    """dumps must print exactly what json.dumps(doc, indent=2) prints."""
+
+    @settings(deadline=None)
+    @given(_DOCUMENTS)
+    def test_matches_the_stdlib_byte_for_byte(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_real_documents_match_the_stdlib(self):
+        psi = QubitState(0.6, 0.8j)
+        for doc in (
+            report_to_json(run_protocol(psi, 3, SINGLE_SHOT, rng_seed=4)),
+            comparison_to_json(compare_swap_vs_teleport(psi)),
+            matrix_to_json(np.random.default_rng(1).normal(size=(8, 8)) * 1e-7),
+        ):
+            assert dumps(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"pair": (1, 2)},
+            {1: "a"},
+            {"x": [np.float64(0.5)]},
+            [float("nan"), 1.0, float("inf"), -float("inf")],
+            {"entries": [[0.5, 0], [1, True]]},
+        ],
+        ids=["tuple", "int-key", "numpy-scalar", "non-finite", "bool-in-pair"],
+    )
+    def test_other_values_fall_back_to_the_stdlib(self, doc):
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
+    def test_unserializable_value_raises_the_stdlib_error(self):
+        doc = {"a": [1, object()]}
+        with pytest.raises(TypeError) as ours:
+            dumps(doc)
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(doc, indent=2)
+        assert str(ours.value) == str(stdlib.value)
+
+    def test_circular_document_raises_the_stdlib_error(self):
+        doc: list = [1]
+        doc.append(doc)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dumps(doc)
