@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +20,7 @@ from .protocol import (
     swap_gate,
 )
 from .serialize import (
+    _number,
     comparison_to_json,
     dumps,
     ket_to_json,
@@ -29,13 +29,12 @@ from .serialize import (
     round_sig,
 )
 from .states import QubitState, StateValidationError, qubit_state
-from .verify import corrupted_for_negative_control, run_checks
+from .verify import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, corrupted_for_negative_control, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "QTELEPORT_TOL"
 # CLI inputs are typically truncated decimals; deviations up to this are
 # silently renormalized, larger ones need --renormalize.
@@ -74,21 +73,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    alpha: complex
-    beta: complex
-    resource_index: int
-    mode: str
-    seed: int
-    output: str
-    tol: float
-    renormalize: bool
-    count: int
-    inject_corruption: bool
-
-
 def _parse_tol(raw: str, source: str) -> float:
     """The one validator for --tol and QTELEPORT_TOL: a finite number > 0."""
     try:
@@ -101,7 +85,7 @@ def _parse_tol(raw: str, source: str) -> float:
 
 
 def _resolve_tol(args: argparse.Namespace) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         return _parse_tol(args.tol, "--tol")
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
@@ -111,60 +95,42 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 
 def _resolve_amplitude(args: argparse.Namespace, name: str) -> complex | None:
     """Combine --<name> with --<name>-re/--<name>-im; components win."""
-    re = getattr(args, f"{name}_re", None)
-    im = getattr(args, f"{name}_im", None)
+    re = getattr(args, f"{name}_re")
+    im = getattr(args, f"{name}_im")
     if re is not None or im is not None:
         return complex(re or 0.0, im or 0.0)
-    literal = getattr(args, name, None)
+    literal = getattr(args, name)
     if literal is None:
         return None
     return parse_complex(literal)
 
 
-def resolve_config(args: argparse.Namespace) -> CliConfig:
+def _resolve_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
+    """(alpha, beta) from the state flags; a missing one of the two is 0."""
     alpha = _resolve_amplitude(args, "alpha")
     beta = _resolve_amplitude(args, "beta")
-    if args.command in ("teleport", "swap-compare"):
-        if alpha is None and beta is None:
-            raise UsageError("an input state is required: use --alpha/--beta or the -re/-im flags")
-        alpha = alpha if alpha is not None else 0.0
-        beta = beta if beta is not None else 0.0
-    else:
-        alpha, beta = 1.0, 0.0
-    return CliConfig(
-        command=args.command,
-        alpha=alpha,
-        beta=beta,
-        resource_index=getattr(args, "resource_index", 1),
-        mode=getattr(args, "mode", ENSEMBLE),
-        seed=getattr(args, "seed", 0),
-        output=getattr(args, "output", "text"),
-        tol=_resolve_tol(args),
-        renormalize=getattr(args, "renormalize", False),
-        count=getattr(args, "count", 1000),
-        inject_corruption=getattr(args, "inject_corruption", False),
-    )
+    if alpha is None and beta is None:
+        raise UsageError("an input state is required: use --alpha/--beta or the -re/-im flags")
+    return alpha if alpha is not None else 0.0, beta if beta is not None else 0.0
 
 
-def build_input_state(cfg: CliConfig) -> QubitState:
-    norm = float(np.hypot(abs(cfg.alpha), abs(cfg.beta)))
+def build_input_state(args: argparse.Namespace) -> QubitState:
+    """The QubitState of the resolved args.alpha and args.beta."""
+    norm = float(np.hypot(abs(args.alpha), abs(args.beta)))
     if not np.isfinite(norm):
         raise UsageError("input amplitudes must be finite")
     if norm == 0.0:
         raise UsageError("input amplitudes are both zero")
-    if abs(norm - 1.0) > CLI_NORM_TOL and not cfg.renormalize:
+    if abs(norm - 1.0) > CLI_NORM_TOL and not args.renormalize:
         raise UsageError(
             f"input state norm {norm:.9f} deviates from 1 by more than {CLI_NORM_TOL}; "
             "pass --renormalize to rescale it"
         )
-    return qubit_state(cfg.alpha, cfg.beta, renormalize=True)
+    return qubit_state(args.alpha, args.beta, renormalize=True)
 
 
 def _fmt_real(x: float) -> str:
-    r = round_sig(x)
-    if r == int(r) and abs(r) < 2**53:
-        return str(int(r))
-    return f"{r:.12g}"
+    return str(_number(x))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -193,10 +159,10 @@ def _print_err(text: str) -> None:
     sys.stderr.write(text + "\n")
 
 
-def cmd_teleport(cfg: CliConfig) -> int:
-    psi = build_input_state(cfg)
-    report = run_protocol(psi, cfg.resource_index, cfg.mode, cfg.seed)
-    if cfg.output == "json":
+def cmd_teleport(args: argparse.Namespace) -> int:
+    psi = build_input_state(args)
+    report = run_protocol(psi, args.resource_index, args.mode, args.seed)
+    if args.output == "json":
         _print(dumps(report_to_json(report)))
     else:
         _print(f"mode: {report.mode}")
@@ -216,16 +182,16 @@ def cmd_teleport(cfg: CliConfig) -> int:
         _print(format_matrix(report.marginal_12.matrix))
         _print("full output state:")
         _print(format_matrix(report.output_density.matrix))
-    if report.fidelity >= 1.0 - cfg.tol:
+    if report.fidelity >= 1.0 - args.tol:
         return EXIT_OK
-    _print_err(f"fidelity {report.fidelity!r} fell below 1 - {cfg.tol!r}")
+    _print_err(f"fidelity {report.fidelity!r} fell below 1 - {args.tol!r}")
     return EXIT_CHECK_FAILED
 
 
-def cmd_swap_compare(cfg: CliConfig) -> int:
-    psi = build_input_state(cfg)
+def cmd_swap_compare(args: argparse.Namespace) -> int:
+    psi = build_input_state(args)
     comparison = compare_swap_vs_teleport(psi)
-    if cfg.output == "json":
+    if args.output == "json":
         _print(dumps(comparison_to_json(comparison)))
     else:
         _print(f"input state: alpha = {_fmt_complex(psi.alpha)}, beta = {_fmt_complex(psi.beta)}")
@@ -239,8 +205,8 @@ def cmd_swap_compare(cfg: CliConfig) -> int:
                    f"fidelity vs input {_fmt_real(branch.fidelity_3)}")
             _print(format_matrix(branch.marginal_12.matrix))
     ok = (
-        abs(comparison.teleport.entropy_12_bits - 2.0) <= cfg.tol
-        and abs(comparison.swap.entropy_12_bits) <= cfg.tol
+        abs(comparison.teleport.entropy_12_bits - 2.0) <= args.tol
+        and abs(comparison.swap.entropy_12_bits) <= args.tol
     )
     if ok:
         return EXIT_OK
@@ -248,13 +214,13 @@ def cmd_swap_compare(cfg: CliConfig) -> int:
     return EXIT_CHECK_FAILED
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    corrupt = corrupted_for_negative_control if cfg.inject_corruption else None
-    results = run_checks(count=cfg.count, tol=cfg.tol, rng_seed=cfg.seed, corrupt_kraus=corrupt)
-    if cfg.output == "json":
+def cmd_verify(args: argparse.Namespace) -> int:
+    corrupt = corrupted_for_negative_control if args.inject_corruption else None
+    results = run_checks(count=args.count, tol=args.tol, rng_seed=args.seed, corrupt_kraus=corrupt)
+    if args.output == "json":
         doc = {
-            "count": cfg.count,
-            "seed": cfg.seed,
+            "count": args.count,
+            "seed": args.seed,
             "passed": all(r.passed for r in results),
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
@@ -271,11 +237,11 @@ def cmd_verify(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dump_tables(cfg: CliConfig) -> int:
+def cmd_dump_tables(args: argparse.Namespace) -> int:
     ks = kraus_set(1)
     swap = swap_gate(THREE_QUBITS, 0, 2)
     basis = bell_basis()
-    if cfg.output == "json":
+    if args.output == "json":
         doc = {
             "a_ops": [matrix_to_json(a) for a in ks.a_ops],
             "b_ops": [matrix_to_json(b) for b in ks.b_ops],
@@ -349,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(swap_cmp)
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
-    verify.add_argument("--count", type=_positive_int, default=1000,
+    verify.add_argument("--count", type=_positive_int, default=DEFAULT_SWEEP_COUNT,
                         help="number of random states in the fidelity sweep")
     verify.add_argument("--seed", type=_nonnegative_int, default=0)
     verify.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
@@ -370,11 +336,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        # The resolved amplitudes and tolerance replace their raw flag strings;
+        # state errors are reported before tolerance errors.
+        if args.command in ("teleport", "swap-compare"):
+            args.alpha, args.beta = _resolve_amplitudes(args)
+        args.tol = _resolve_tol(args)
+        return _COMMANDS[args.command](args)
     except (UsageError, StateValidationError) as exc:
         _print_err(f"error: {exc}")
         return EXIT_USAGE

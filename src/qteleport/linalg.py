@@ -25,15 +25,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def basis_vector(dim: int, index: int) -> np.ndarray:
-    """Computational basis ket |index> as a 1-D complex array."""
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex ndarray, rejecting NaN/Inf entries."""
     arr = np.asarray(a, dtype=complex)
@@ -157,31 +148,26 @@ def partial_trace(
     return reduced.reshape(d_keep, d_keep)
 
 
-def eig_hermitian(
-    a: np.ndarray,
-    *,
-    herm_tol: float = TOL_HERM,
-    recon_tol: float = TOL_RECON,
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy eigh).
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
     order and orthonormal eigenvectors as columns, so that
-    a == V @ diag(w) @ V.conj().T up to recon_tol; a larger reconstruction
-    error raises.
+    a == V @ diag(w) @ V.conj().T up to TOL_RECON; a larger reconstruction
+    error raises, as does a deviation from Hermiticity above TOL_HERM.
     """
     a = as_complex_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eig_hermitian requires a square matrix, got shape {a.shape}")
     herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if herm_dev > herm_tol:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {herm_dev:.3e} > {herm_tol:.3e}")
+    if herm_dev > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {herm_dev:.3e} > {TOL_HERM:.3e}")
 
     ascending, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
     values, vectors = ascending[::-1], vectors[:, ::-1]
 
     recon = (vectors * values) @ vectors.conj().T
     recon_err = float(np.max(np.abs(recon - a)))
-    if recon_err > recon_tol:
-        raise RuntimeError(f"eigendecomposition reconstruction error {recon_err:.3e} exceeds {recon_tol:.3e}")
+    if recon_err > TOL_RECON:
+        raise RuntimeError(f"eigendecomposition reconstruction error {recon_err:.3e} exceeds {TOL_RECON:.3e}")
     return values, vectors

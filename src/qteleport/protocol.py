@@ -9,8 +9,9 @@ whole protocol never touches a physically composite system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -59,12 +60,9 @@ MODES = (ENSEMBLE, SINGLE_SHOT)
 
 @dataclass(frozen=True, eq=False)
 class BellBasis:
-    """The four maximally entangled two-qubit basis vectors, indexed 1..4."""
+    """The four maximally entangled two-qubit basis vectors; vectors[i-1] is vector i."""
 
     vectors: tuple[Ket, Ket, Ket, Ket]
-
-    def vector(self, index: int) -> Ket:
-        return self.vectors[_check_resource_index(index) - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,18 +79,21 @@ class KrausSet:
 
     a_ops hold the doubled Bell projectors (integer entries, a_ops[i]/2 is a
     rank-2 projector); b_ops the correction unitaries extended by the
-    identity on the measured factors. The channel applies
-    weight * B A rho A B^dagger summed over the four outcomes.
+    identity on the measured factors. kraus holds the read-only map
+    operators K_i = B_i A_i / 2, built once from this instance's own pairs;
+    the channel is sum K rho K^dagger, which folds in the ensemble weight
+    1/4 (= (1/2)^2), and sum K^dagger K is the identity.
     """
 
     resource_index: int
     a_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     b_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    weight: float = 0.25
+    kraus: tuple[np.ndarray, ...] = field(init=False)
+    weight: ClassVar[float] = 0.25
 
-    def kraus_operators(self) -> tuple[np.ndarray, ...]:
-        """The four map operators K = B (A/2); sum of K^dag K is the identity."""
-        return tuple(b @ a / 2.0 for a, b in zip(self.a_ops, self.b_ops))
+    def __post_init__(self) -> None:
+        kraus = tuple(_frozen(b @ a / 2.0) for a, b in zip(self.a_ops, self.b_ops))
+        object.__setattr__(self, "kraus", kraus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,14 +176,10 @@ def _doubled_bell_projector(index: int) -> np.ndarray:
     return np.outer(u, u.conj())
 
 
-def index_to_bits(n: int) -> tuple[int, int, int]:
-    """Big-endian bits (a, b, c) of the level index n in 0..7."""
-    return THREE_QUBITS.digits_of(n)  # type: ignore[return-value]
-
-
-def bits_to_index(a: int, b: int, c: int) -> int:
-    """Inverse of index_to_bits."""
-    return THREE_QUBITS.index_of((a, b, c))
+# The measurement operators A^i = 2 |beta^i><beta^i| (x) I, shared by every resource.
+_A_OPS = tuple(
+    _frozen(kron(_doubled_bell_projector(i), IDENTITY_2)) for i in RESOURCE_INDICES
+)
 
 
 def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatrix:
@@ -218,13 +215,8 @@ _CORRECTION_FIDELITY_TOL = 1e-9
 
 def _uncorrected_branches(psi: QubitState, resource_index: int) -> list[np.ndarray]:
     """Post-measurement states (unnormalized corrections pending), one per outcome."""
-    rho = build_initial_state(psi, resource_index).matrix
-    branches = []
-    for i in RESOURCE_INDICES:
-        p_op = kron(_doubled_bell_projector(i), IDENTITY_2) / 2.0
-        m = p_op @ rho @ p_op
-        branches.append(m / np.trace(m).real)
-    return branches
+    projected, probabilities = _project(build_initial_state(psi, resource_index), _A_OPS)
+    return [m / p for m, p in zip(projected, probabilities)]
 
 
 @lru_cache(maxsize=None)
@@ -277,32 +269,27 @@ def correction_set(resource_index: int) -> CorrectionSet:
 def kraus_set(resource_index: int = 1) -> KrausSet:
     """Measurement and correction operators for the chosen Bell resource."""
     resource_index = _check_resource_index(resource_index)
-    a_ops = tuple(
-        _frozen(kron(_doubled_bell_projector(i), IDENTITY_2)) for i in RESOURCE_INDICES
-    )
     b_ops = tuple(
         _frozen(kron(identity(4), u)) for u in correction_set(resource_index).unitaries
     )
-    return KrausSet(resource_index, a_ops, b_ops)
+    return KrausSet(resource_index, _A_OPS, b_ops)
 
 
 def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    """Ensemble output: weight * sum_i B^i A^i rho A^i B^i-dagger."""
+    """Ensemble output: sum_i K_i rho K_i-dagger with K_i = B^i A^i / 2."""
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
     rho = rho_in.matrix
-    out = np.zeros_like(rho)
-    for a, b in zip(ks.a_ops, ks.b_ops):
-        k = b @ a
-        out += ks.weight * (k @ rho @ dagger(k))
-    return DensityMatrix(out)
+    return DensityMatrix(sum(k @ rho @ dagger(k) for k in ks.kraus))
 
 
-def _project(rho_in: DensityMatrix, ks: KrausSet) -> tuple[list[np.ndarray], tuple[float, ...]]:
-    """Unnormalized post-measurement states P_i rho P_i and their traces p_i."""
+def _project(
+    rho_in: DensityMatrix, a_ops: tuple[np.ndarray, ...]
+) -> tuple[list[np.ndarray], tuple[float, ...]]:
+    """Unnormalized post-measurement states P_i rho P_i (P_i = A^i/2) and their traces p_i."""
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
-    projectors = [a / 2.0 for a in ks.a_ops]
+    projectors = [a / 2.0 for a in a_ops]
     projected = [p @ rho_in.matrix @ p for p in projectors]
     return projected, tuple(float(np.trace(m).real) for m in projected)
 
@@ -321,7 +308,7 @@ def _shot(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    projected, probabilities = _project(rho_in, ks)
+    projected, probabilities = _project(rho_in, ks.a_ops)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
         raise ValueError("all measurement branches have vanishing probability")
@@ -342,7 +329,7 @@ def measurement_branches(
     Outcomes with probability at or below MIN_BRANCH_PROBABILITY carry None
     instead of a normalized state.
     """
-    projected, probabilities = _project(rho_in, ks)
+    projected, probabilities = _project(rho_in, ks.a_ops)
     return tuple(
         (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(b, m, p))
         for b, m, p in zip(ks.b_ops, projected, probabilities)

@@ -132,32 +132,18 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def validate_density(
-    m: object,
-    *,
-    herm_tol: float = TOL_HERM,
-    trace_tol: float = TOL_NORM,
-    psd_tol: float = TOL_PSD,
-) -> DensityMatrix:
+def validate_density(m: object) -> DensityMatrix:
     """Full membership check for the state space: Hermitian, unit trace, PSD.
 
     Raises NotHermitian, TraceNotOne or NotPositive with the measured
     violation; returns the validated DensityMatrix otherwise.
     """
-    arr = as_complex_array(m, "density matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {arr.shape}")
-    herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if herm_dev > herm_tol:
-        raise NotHermitian("density matrix is not Hermitian", herm_dev)
-    trace_dev = abs(complex(np.trace(arr)) - 1.0)
-    if trace_dev > trace_tol:
-        raise TraceNotOne("density matrix trace differs from 1", trace_dev)
-    eigenvalues, _ = eig_hermitian(arr, herm_tol=herm_tol)
+    rho = DensityMatrix(m)
+    eigenvalues, _ = eig_hermitian(rho.matrix)
     lowest = float(eigenvalues[-1])
-    if lowest < -psd_tol:
+    if lowest < -TOL_PSD:
         raise NotPositive("density matrix has a negative eigenvalue", -lowest)
-    return DensityMatrix(arr)
+    return rho
 
 
 def ket_to_density(k: Ket) -> DensityMatrix:
@@ -179,18 +165,18 @@ def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
     return float((v.conj() @ rho.matrix @ v).real)
 
 
-def von_neumann_entropy(rho: DensityMatrix, *, psd_tol: float = TOL_PSD) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy sum(p log2(1/p)) of the spectrum, in bits.
 
-    The sum runs over the numerical support: eigenvalues at or below psd_tol
+    The sum runs over the numerical support: eigenvalues at or below TOL_PSD
     are eigensolver round-off of zero and are dropped, and the rest are
     renormalized to sum to 1. A rank-1 state therefore has entropy exactly 0,
-    and no term is negative. An eigenvalue below -psd_tol raises NotPositive.
+    and no term is negative. An eigenvalue below -TOL_PSD raises NotPositive.
     """
     eigenvalues, _ = eig_hermitian(rho.matrix)
-    if eigenvalues[-1] < -psd_tol:
+    if eigenvalues[-1] < -TOL_PSD:
         raise NotPositive("cannot take entropy of a non-PSD operator", float(-eigenvalues[-1]))
-    support = eigenvalues[eigenvalues > psd_tol]
+    support = eigenvalues[eigenvalues > TOL_PSD]
     p = support / np.sum(support)
     return float(np.sum(p * np.log2(1.0 / p)))
 

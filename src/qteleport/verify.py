@@ -37,6 +37,7 @@ from .states import (
 )
 
 DEFAULT_SWEEP_COUNT = 1000
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
     """
     a0 = ks.a_ops[0].copy()
     a0[0, 6] = -a0[0, 6] if a0[0, 6] != 0 else 1.0
-    return KrausSet(ks.resource_index, (a0,) + ks.a_ops[1:], ks.b_ops, ks.weight)
+    return KrausSet(ks.resource_index, (a0,) + ks.a_ops[1:], ks.b_ops)
 
 
 def _check_operator_tables(ks1: KrausSet) -> tuple[bool, str]:
@@ -100,7 +101,7 @@ def _check_kraus_completeness(sets: dict[int, KrausSet]) -> tuple[bool, str]:
     worst = 0.0
     for j, ks in sets.items():
         total = np.zeros((8, 8), dtype=complex)
-        for k in ks.kraus_operators():
+        for k in ks.kraus:
             total += dagger(k) @ k
         dev = float(np.max(np.abs(total - identity(8))))
         if dev > 1e-12:
@@ -195,7 +196,7 @@ def _check_random_density_outputs(
 
 def run_checks(
     count: int = DEFAULT_SWEEP_COUNT,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     rng_seed: int = 0,
     corrupt_kraus: Callable[[KrausSet], KrausSet] | None = None,
 ) -> list[CheckResult]:

@@ -90,7 +90,7 @@ def test_criterion_3_block_diagonal_output_for_haar_random_states():
 def test_criterion_4_channel_is_cptp():
     worst_completeness = 0.0
     for j in RESOURCE_INDICES:
-        total = sum(dagger(k) @ k for k in kraus_set(j).kraus_operators())
+        total = sum(dagger(k) @ k for k in kraus_set(j).kraus)
         worst_completeness = max(worst_completeness, float(np.max(np.abs(total - identity(8)))))
     rng = np.random.default_rng(23)
     all_valid = True

@@ -147,6 +147,15 @@ class TestTeleportCommand:
         assert "QTELEPORT_TOL" in capsys.readouterr().err
         assert main(["teleport", "--alpha", "1", "--tol", "1e-6"]) == EXIT_OK
 
+    def test_state_errors_come_before_tol_errors(self, capsys):
+        assert main(["teleport", "--alpha", "abc", "--tol", "-1"]) == EXIT_USAGE
+        assert "complex literal" in capsys.readouterr().err
+        assert main(["swap-compare", "--tol", "-1"]) == EXIT_USAGE
+        assert "input state is required" in capsys.readouterr().err
+        # The norm check runs in the command, after the tolerance is resolved.
+        assert main(["teleport", "--alpha", "2", "--beta", "0", "--tol", "-1"]) == EXIT_USAGE
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestSwapCompareCommand:
     def test_text_output_and_exit_code(self, capsys):
@@ -190,6 +199,13 @@ class TestVerifyCommand:
 
 
 class TestDumpTablesCommand:
+    def test_bad_env_tol_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QTELEPORT_TOL", "abc")
+        assert main(["dump-tables"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "QTELEPORT_TOL" in captured.err
+
     def test_text_output_shows_signed_entries(self, capsys):
         assert main(["dump-tables"]) == EXIT_OK
         out = capsys.readouterr().out

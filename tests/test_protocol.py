@@ -16,13 +16,12 @@ from qteleport.protocol import (
     RESOURCE_INDICES,
     SINGLE_SHOT,
     THREE_QUBITS,
+    KrausSet,
     bell_basis,
-    bits_to_index,
     build_initial_state,
     compare_swap_vs_teleport,
     correction_set,
     derive_corrections,
-    index_to_bits,
     kraus_set,
     measurement_branches,
     run_protocol,
@@ -41,6 +40,7 @@ from qteleport.states import (
     validate_density,
     von_neumann_entropy,
 )
+from qteleport.verify import corrupted_for_negative_control
 
 SQ = 2 ** -0.5
 
@@ -48,8 +48,8 @@ SQ = 2 ** -0.5
 class TestBellBasis:
     def test_first_and_last_vectors(self):
         basis = bell_basis()
-        assert np.allclose(basis.vector(1).amplitudes, np.array([1, 0, 0, 1]) * SQ)
-        assert np.allclose(basis.vector(4).amplitudes, np.array([0, 1, -1, 0]) * SQ)
+        assert np.allclose(basis.vectors[0].amplitudes, np.array([1, 0, 0, 1]) * SQ)
+        assert np.allclose(basis.vectors[3].amplitudes, np.array([0, 1, -1, 0]) * SQ)
 
     def test_gram_matrix_is_identity(self):
         vectors = np.column_stack([k.amplitudes for k in bell_basis().vectors])
@@ -61,30 +61,26 @@ class TestBellBasis:
             for factor in (0, 1):
                 assert approx_eq(partial_trace(rho, (2, 2), {factor}), identity(2) / 2, 1e-12)
 
-    def test_index_range(self):
-        with pytest.raises(ValueError):
-            bell_basis().vector(5)
-
 
 class TestIndexMap:
     def test_worked_example(self):
-        assert index_to_bits(3) == (0, 1, 1)
+        assert THREE_QUBITS.digits_of(3) == (0, 1, 1)
 
     def test_extremes(self):
-        assert index_to_bits(0) == (0, 0, 0)
-        assert index_to_bits(7) == (1, 1, 1)
+        assert THREE_QUBITS.digits_of(0) == (0, 0, 0)
+        assert THREE_QUBITS.digits_of(7) == (1, 1, 1)
 
     def test_round_trip(self):
         for n in range(8):
-            assert bits_to_index(*index_to_bits(n)) == n
+            assert THREE_QUBITS.index_of(THREE_QUBITS.digits_of(n)) == n
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            index_to_bits(8)
+            THREE_QUBITS.digits_of(8)
         with pytest.raises(ValueError):
-            index_to_bits(-1)
+            THREE_QUBITS.digits_of(-1)
         with pytest.raises(ValueError):
-            bits_to_index(0, 2, 0)
+            THREE_QUBITS.index_of((0, 2, 0))
 
 
 class TestBuildInitialState:
@@ -140,8 +136,34 @@ class TestKrausSet:
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_completeness(self, resource):
-        total = sum(dagger(k) @ k for k in kraus_set(resource).kraus_operators())
+        total = sum(dagger(k) @ k for k in kraus_set(resource).kraus)
         assert approx_eq(total, identity(8), 1e-12)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_kraus_is_b_a_over_2_bit_for_bit(self, resource):
+        ks = kraus_set(resource)
+        assert len(ks.kraus) == 4
+        for k, a, b in zip(ks.kraus, ks.a_ops, ks.b_ops):
+            assert np.array_equal(k, b @ a / 2.0)
+
+    def test_kraus_is_read_only(self):
+        ks = kraus_set(1)
+        with pytest.raises(ValueError):
+            ks.kraus[0][0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            ks.kraus = ()
+
+    def test_corrupted_set_builds_its_own_kraus(self):
+        ks = kraus_set(2)
+        bad = corrupted_for_negative_control(ks)
+        assert not np.array_equal(bad.kraus[0], ks.kraus[0])
+        assert np.array_equal(bad.kraus[0], bad.b_ops[0] @ bad.a_ops[0] / 2.0)
+
+    def test_weight_is_not_a_constructor_argument(self):
+        ks = kraus_set(1)
+        assert ks.weight == 0.25
+        with pytest.raises(TypeError):
+            KrausSet(1, ks.a_ops, ks.b_ops, 0.5)
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_halved_measurement_ops_are_rank2_projectors(self, resource):
@@ -177,6 +199,18 @@ class TestTeleportChannel:
         out = teleport_channel(rho, kraus_set(1))
         assert abs(np.trace(out.matrix) - 1.0) <= 1e-10
         validate_density(out.matrix)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_equals_the_weighted_operator_pair_sum_bit_for_bit(self, resource):
+        # Reference: 1/4 sum_i (B^i A^i) rho (B^i A^i)^dag, accumulated in outcome order.
+        # Halving K_i scales by a power of two, so the result is the same floats.
+        rho = DensityMatrix(random_ginibre_density(np.random.default_rng(resource), 8))
+        ks = kraus_set(resource)
+        expected = np.zeros((8, 8), dtype=complex)
+        for a, b in zip(ks.a_ops, ks.b_ops):
+            k = b @ a
+            expected += 0.25 * (k @ rho.matrix @ dagger(k))
+        assert np.array_equal(teleport_channel(rho, ks).matrix, expected)
 
     def test_fidelity_one_for_random_states_and_every_resource(self):
         rng = np.random.default_rng(17)
