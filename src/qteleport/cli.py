@@ -12,12 +12,11 @@ from .protocol import (
     ENSEMBLE,
     MODES,
     RESOURCE_INDICES,
-    THREE_QUBITS,
+    SWAP_0_2,
     bell_basis,
     compare_swap_vs_teleport,
     kraus_set,
     run_protocol,
-    swap_gate,
 )
 from .serialize import (
     _number,
@@ -239,14 +238,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_dump_tables(args: argparse.Namespace) -> int:
     ks = kraus_set(1)
-    swap = swap_gate(THREE_QUBITS, 0, 2)
     basis = bell_basis()
     if args.output == "json":
         doc = {
             "a_ops": [matrix_to_json(a) for a in ks.a_ops],
             "b_ops": [matrix_to_json(b) for b in ks.b_ops],
-            "swap_1_3": matrix_to_json(swap),
-            "bell_vectors": [ket_to_json(k) for k in basis.vectors],
+            "swap_1_3": matrix_to_json(SWAP_0_2),
+            "bell_vectors": [ket_to_json(k) for k in basis],
         }
         _print(dumps(doc))
     else:
@@ -257,8 +255,8 @@ def cmd_dump_tables(args: argparse.Namespace) -> int:
             _print(f"B^{i}:")
             _print(format_matrix(b))
         _print("SWAP_1_3:")
-        _print(format_matrix(swap))
-        for i, k in enumerate(basis.vectors, start=1):
+        _print(format_matrix(SWAP_0_2))
+        for i, k in enumerate(basis, start=1):
             amps = ", ".join(_fmt_complex(z) for z in k.amplitudes)
             _print(f"bell_vector_{i}: ({amps})")
     return EXIT_OK

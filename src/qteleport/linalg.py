@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
@@ -59,84 +58,45 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
     return float(np.max(np.abs(a - b))) <= tol
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Virtual tensor-product structure of one indivisible Hilbert space.
+def _is_int(x: object) -> bool:
+    # bool is an int subclass but not a count, an index or a seed; 1.0 == 1 is not an integer
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
-    factor_dims lists the dimensions of the factors; factor 0 is the most
-    significant digit of the basis index (big-endian).
+
+def _check_factors(dims: Sequence[int], indices: Iterable[int] = ()) -> tuple[tuple[int, ...], list[int]]:
+    """dims and factor indices as Python ints.
+
+    ValueError unless dims is a non-empty tuple or list of positive integers
+    and every index names one of its factors; Python and numpy integers
+    count, bools do not.
     """
-
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.factor_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"factor dims must be positive integers, got {self.factor_dims}")
-        object.__setattr__(self, "factor_dims", dims)
-
-    @property
-    def dim(self) -> int:
-        return prod(self.factor_dims)
-
-    def __len__(self) -> int:
-        return len(self.factor_dims)
-
-    def __iter__(self):
-        return iter(self.factor_dims)
-
-    def digits_of(self, n: int) -> tuple[int, ...]:
-        """Big-endian mixed-radix digits of the basis index n."""
-        if not 0 <= n < self.dim:
-            raise ValueError(f"basis index {n} out of range for dimension {self.dim}")
-        digits = []
-        for d in reversed(self.factor_dims):
-            digits.append(n % d)
-            n //= d
-        return tuple(reversed(digits))
-
-    def index_of(self, digits: Sequence[int]) -> int:
-        """Inverse of digits_of."""
-        if len(digits) != len(self.factor_dims):
-            raise ValueError(f"expected {len(self.factor_dims)} digits, got {len(digits)}")
-        n = 0
-        for digit, d in zip(digits, self.factor_dims):
-            if not 0 <= digit < d:
-                raise ValueError(f"digit {digit} out of range for factor of dimension {d}")
-            n = n * d + digit
-        return n
+    if not isinstance(dims, (tuple, list)) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"factor dims must be a non-empty tuple of positive integers, got {dims!r}")
+    indices = list(indices)
+    for i in indices:
+        if not _is_int(i) or not 0 <= i < len(dims):
+            raise ValueError(f"factor index {i!r} out of range for {len(dims)} factors")
+    return tuple(map(int, dims)), list(map(int, indices))
 
 
-def _resolve_factors(factors: Factorization | Sequence[int]) -> Factorization:
-    if isinstance(factors, Factorization):
-        return factors
-    return Factorization(tuple(factors))
+def partial_trace(a: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
+    """Reduce a square matrix on the tensor factors of dims to those listed in keep.
 
-
-def partial_trace(
-    a: np.ndarray,
-    factors: Factorization | Sequence[int],
-    keep: Iterable[int],
-) -> np.ndarray:
-    """Reduce a square matrix to the tensor factors listed in keep.
-
-    Kept factors stay in their original order regardless of the order of the
-    keep set.
+    Factor 0 is the most significant digit of the basis index, so the factors
+    are the axes of a.reshape(dims + dims). Kept factors stay in their
+    original order regardless of the order of the keep set.
     """
-    f = _resolve_factors(factors)
+    dims, kept = _check_factors(dims, keep)
     a = as_complex_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"partial_trace requires a square matrix, got shape {a.shape}")
-    if a.shape[0] != f.dim:
-        raise ValueError(f"matrix dimension {a.shape[0]} does not match factorization {f.factor_dims}")
-    kept = sorted(set(int(k) for k in keep))
-    n = len(f)
+    if a.shape[0] != prod(dims):
+        raise ValueError(f"matrix dimension {a.shape[0]} does not match factor dims {dims}")
+    kept = sorted(set(kept))
     if not kept:
         raise ValueError("keep set must not be empty")
-    if kept[0] < 0 or kept[-1] >= n:
-        raise ValueError(f"keep indices {kept} out of range for {n} factors")
 
-    dims = f.factor_dims
+    n = len(dims)
     tensor = a.reshape(dims + dims)
     # einsum labels: row axes 0..n-1; a traced column axis reuses its row label.
     kept_set = set(kept)

@@ -1,16 +1,18 @@
 """One-qubit teleportation as a channel on a single eight-level system.
 
-The eight-dimensional Hilbert space is treated as three virtual qubits via
-the big-endian index mapping |n> <-> |a>|b>|c|. The channel measures the
-first two virtual qubits with rank-2 Bell projectors acting on the full
-space and applies a conditional correction unitary on the third; the
-whole protocol never touches a physically composite system.
+The eight-dimensional Hilbert space is read as three virtual qubits through
+the big-endian basis index n = 4a + 2b + c (|n> <-> |a>|b>|c>), which is
+reshape(2, 2, 2) of the index. The channel measures the first two virtual
+qubits with rank-2 Bell projectors acting on the full space and applies a
+conditional correction unitary on the third; the whole protocol never
+touches a physically composite system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from typing import ClassVar
 
 import numpy as np
@@ -20,7 +22,8 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Factorization,
+    _check_factors,
+    _is_int,
     dagger,
     identity,
     kron,
@@ -36,7 +39,7 @@ from .states import (
     von_neumann_entropy,
 )
 
-THREE_QUBITS = Factorization((2, 2, 2))
+THREE_QUBITS = (2, 2, 2)
 RESOURCE_INDICES = (1, 2, 3, 4)
 
 # Branches thinner than this are treated as impossible when sampling.
@@ -59,39 +62,27 @@ MODES = (ENSEMBLE, SINGLE_SHOT)
 
 
 @dataclass(frozen=True, eq=False)
-class BellBasis:
-    """The four maximally entangled two-qubit basis vectors; vectors[i-1] is vector i."""
-
-    vectors: tuple[Ket, Ket, Ket, Ket]
-
-
-@dataclass(frozen=True, eq=False)
-class CorrectionSet:
-    """Conditional single-qubit unitaries, one per measurement outcome."""
-
-    resource_index: int
-    unitaries: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Operator pairs defining the teleportation channel on the 8-dim space.
 
     a_ops hold the doubled Bell projectors (integer entries, a_ops[i]/2 is a
     rank-2 projector); b_ops the correction unitaries extended by the
-    identity on the measured factors. kraus holds the read-only map
-    operators K_i = B_i A_i / 2, built once from this instance's own pairs;
-    the channel is sum K rho K^dagger, which folds in the ensemble weight
-    1/4 (= (1/2)^2), and sum K^dagger K is the identity.
+    identity on the measured factors. projectors (P_i = A_i / 2) and kraus
+    (the map operators K_i = B_i A_i / 2) are read-only and built once from
+    this instance's own pairs; the branches are P rho P, the channel is
+    sum K rho K^dagger, which folds in the ensemble weight 1/4 (= (1/2)^2),
+    and sum K^dagger K is the identity.
     """
 
     resource_index: int
     a_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     b_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    projectors: tuple[np.ndarray, ...] = field(init=False)
     kraus: tuple[np.ndarray, ...] = field(init=False)
     weight: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "projectors", tuple(_frozen(a / 2.0) for a in self.a_ops))
         kraus = tuple(_frozen(b @ a / 2.0) for a, b in zip(self.a_ops, self.b_ops))
         object.__setattr__(self, "kraus", kraus)
 
@@ -153,10 +144,15 @@ class SwapComparison:
 
 def _check_resource_index(index: int) -> int:
     """index as a Python int; ValueError unless it is an integer in RESOURCE_INDICES."""
-    # bool is an int subclass but not an index, and 1.0 == 1 is not an integer
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index not in RESOURCE_INDICES:
+    if not _is_int(index) or index not in RESOURCE_INDICES:
         raise ValueError(f"index must be one of {RESOURCE_INDICES}, got {index!r}")
     return int(index)
+
+
+def _check_seed(rng_seed: object) -> None:
+    """ValueError unless rng_seed is a non-negative Python or numpy integer."""
+    if not _is_int(rng_seed) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -164,10 +160,10 @@ def _frozen(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def bell_basis() -> BellBasis:
-    """The four Bell vectors in their conventional order."""
+def bell_basis() -> tuple[Ket, Ket, Ket, Ket]:
+    """The four Bell vectors in their conventional order; entry i-1 is vector i."""
     scale = 2.0 ** -0.5
-    return BellBasis(tuple(Ket(row * scale) for row in _BELL_PATTERNS))
+    return tuple(Ket(row * scale) for row in _BELL_PATTERNS)  # type: ignore[return-value]
 
 
 def _doubled_bell_projector(index: int) -> np.ndarray:
@@ -180,6 +176,7 @@ def _doubled_bell_projector(index: int) -> np.ndarray:
 _A_OPS = tuple(
     _frozen(kron(_doubled_bell_projector(i), IDENTITY_2)) for i in RESOURCE_INDICES
 )
+_PROJECTORS = tuple(_frozen(a / 2.0) for a in _A_OPS)
 
 
 def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatrix:
@@ -215,12 +212,12 @@ _CORRECTION_FIDELITY_TOL = 1e-9
 
 def _uncorrected_branches(psi: QubitState, resource_index: int) -> list[np.ndarray]:
     """Post-measurement states (unnormalized corrections pending), one per outcome."""
-    projected, probabilities = _project(build_initial_state(psi, resource_index), _A_OPS)
+    projected, probabilities = _project(build_initial_state(psi, resource_index), _PROJECTORS)
     return [m / p for m, p in zip(projected, probabilities)]
 
 
 @lru_cache(maxsize=None)
-def derive_corrections(resource_index: int) -> CorrectionSet:
+def derive_corrections(resource_index: int) -> tuple[np.ndarray, ...]:
     """Find each outcome's correction by exhaustive search over phased Paulis.
 
     Candidates are the 16 operators {phase * P} with phase in (1, i, -1, -i)
@@ -254,14 +251,14 @@ def derive_corrections(resource_index: int) -> CorrectionSet:
                 f"no phased Pauli corrects outcome {outcome + 1} for resource {resource_index}"
             )
         found.append(_frozen(winner))
-    return CorrectionSet(resource_index, tuple(found))
+    return tuple(found)
 
 
-def correction_set(resource_index: int) -> CorrectionSet:
-    """Production corrections: the published resource-1 set, derived sets otherwise."""
+def correction_set(resource_index: int) -> tuple[np.ndarray, ...]:
+    """Production corrections, one per outcome: the published resource-1 set, derived sets otherwise."""
     resource_index = _check_resource_index(resource_index)
     if resource_index == 1:
-        return CorrectionSet(1, _RESOURCE_1_CORRECTIONS)
+        return _RESOURCE_1_CORRECTIONS
     return derive_corrections(resource_index)
 
 
@@ -269,9 +266,7 @@ def correction_set(resource_index: int) -> CorrectionSet:
 def kraus_set(resource_index: int = 1) -> KrausSet:
     """Measurement and correction operators for the chosen Bell resource."""
     resource_index = _check_resource_index(resource_index)
-    b_ops = tuple(
-        _frozen(kron(identity(4), u)) for u in correction_set(resource_index).unitaries
-    )
+    b_ops = tuple(_frozen(kron(identity(4), u)) for u in correction_set(resource_index))
     return KrausSet(resource_index, _A_OPS, b_ops)
 
 
@@ -284,12 +279,11 @@ def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
 
 
 def _project(
-    rho_in: DensityMatrix, a_ops: tuple[np.ndarray, ...]
+    rho_in: DensityMatrix, projectors: tuple[np.ndarray, ...]
 ) -> tuple[list[np.ndarray], tuple[float, ...]]:
-    """Unnormalized post-measurement states P_i rho P_i (P_i = A^i/2) and their traces p_i."""
+    """Unnormalized post-measurement states P_i rho P_i and their traces p_i."""
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
-    projectors = [a / 2.0 for a in a_ops]
     projected = [p @ rho_in.matrix @ p for p in projectors]
     return projected, tuple(float(np.trace(m).real) for m in projected)
 
@@ -308,7 +302,7 @@ def _shot(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    projected, probabilities = _project(rho_in, ks.a_ops)
+    projected, probabilities = _project(rho_in, ks.projectors)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
         raise ValueError("all measurement branches have vanishing probability")
@@ -329,7 +323,7 @@ def measurement_branches(
     Outcomes with probability at or below MIN_BRANCH_PROBABILITY carry None
     instead of a normalized state.
     """
-    projected, probabilities = _project(rho_in, ks.a_ops)
+    projected, probabilities = _project(rho_in, ks.projectors)
     return tuple(
         (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(b, m, p))
         for b, m, p in zip(ks.b_ops, projected, probabilities)
@@ -346,8 +340,12 @@ def single_shot(
     Sampling draws a single uniform variate from a PCG64 generator seeded
     with rng_seed and inverts the cumulative distribution of the outcome
     probabilities, restricted to branches above MIN_BRANCH_PROBABILITY.
-    Only the sampled branch's corrected state is built.
+    Only the sampled branch's corrected state is built. rng_seed is a
+    Generator or a seed as run_protocol takes it; anything else raises
+    ValueError.
     """
+    if not isinstance(rng_seed, np.random.Generator):
+        _check_seed(rng_seed)
     _, outcome, state = _shot(rho_in, ks, rng_seed)
     return outcome, state
 
@@ -373,9 +371,7 @@ def run_protocol(
     resource_index = _check_resource_index(resource_index)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    # bool is an int subclass but not a seed
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, (int, np.integer)) or rng_seed < 0:
-        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
+    _check_seed(rng_seed)
     ks = kraus_set(resource_index)
     rho_in = build_initial_state(psi, resource_index)
 
@@ -402,24 +398,20 @@ def run_protocol(
     )
 
 
-def swap_gate(f: Factorization, p: int, q: int) -> np.ndarray:
-    """Permutation unitary exchanging tensor factors p and q of f."""
-    n = len(f)
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"factor indices ({p}, {q}) out of range for {n} factors")
+def swap_gate(dims: tuple[int, ...], p: int, q: int) -> np.ndarray:
+    """Permutation unitary exchanging tensor factors p and q of dims."""
+    dims, (p, q) = _check_factors(dims, (p, q))
     if p == q:
         raise ValueError("swap factors must differ")
-    if f.factor_dims[p] != f.factor_dims[q]:
-        raise ValueError(
-            f"cannot swap factors of unequal dimension {f.factor_dims[p]} and {f.factor_dims[q]}"
-        )
-    dim = f.dim
-    m = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        digits = list(f.digits_of(col))
-        digits[p], digits[q] = digits[q], digits[p]
-        m[f.index_of(digits), col] = 1.0
-    return m
+    if dims[p] != dims[q]:
+        raise ValueError(f"cannot swap factors of unequal dimension {dims[p]} and {dims[q]}")
+    dim = prod(dims)
+    # Swapping two row axes of the identity sends |..a_p..a_q..> to |..a_q..a_p..>.
+    return identity(dim).reshape(dims + dims).swapaxes(p, q).reshape(dim, dim)
+
+
+# The exchange of factors 0 and 2 that compare_swap_vs_teleport and dump-tables use.
+SWAP_0_2 = _frozen(swap_gate(THREE_QUBITS, 0, 2))
 
 
 def _summarize_branch(
@@ -452,8 +444,7 @@ def compare_swap_vs_teleport(psi: QubitState) -> SwapComparison:
     """
     rho_in = build_initial_state(psi, 1)
     teleported = teleport_channel(rho_in, kraus_set(1))
-    swap = swap_gate(THREE_QUBITS, 0, 2)
-    swapped = DensityMatrix(swap @ rho_in.matrix @ dagger(swap))
+    swapped = DensityMatrix(SWAP_0_2 @ rho_in.matrix @ dagger(SWAP_0_2))
     return SwapComparison(
         input_state=psi,
         teleport=_summarize_branch("teleport", True, teleported, psi),

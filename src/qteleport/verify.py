@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import approx_eq, dagger, identity, kron, partial_trace
 from .protocol import (
     RESOURCE_INDICES,
+    SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
     bell_basis,
@@ -23,7 +24,6 @@ from .protocol import (
     derive_corrections,
     kraus_set,
     measurement_branches,
-    swap_gate,
     teleport_channel,
 )
 from .reference import A_OPS_REFERENCE, B_OPS_REFERENCE, SWAP_0_2_REFERENCE
@@ -69,8 +69,7 @@ def _check_operator_tables(ks1: KrausSet) -> tuple[bool, str]:
 
 
 def _check_bell_orthonormality() -> tuple[bool, str]:
-    basis = bell_basis()
-    vectors = np.column_stack([k.amplitudes for k in basis.vectors])
+    vectors = np.column_stack([k.amplitudes for k in bell_basis()])
     gram = dagger(vectors) @ vectors
     dev = float(np.max(np.abs(gram - np.eye(4))))
     return dev <= 1e-12, f"Gram matrix deviation from identity {dev:.3e}"
@@ -78,7 +77,7 @@ def _check_bell_orthonormality() -> tuple[bool, str]:
 
 def _check_bell_reductions() -> tuple[bool, str]:
     worst = 0.0
-    for k in bell_basis().vectors:
+    for k in bell_basis():
         rho = ket_to_density(k).matrix
         for factor in (0, 1):
             reduced = partial_trace(rho, (2, 2), {factor})
@@ -88,8 +87,7 @@ def _check_bell_reductions() -> tuple[bool, str]:
 
 def _check_projector_rank(ks1: KrausSet) -> tuple[bool, str]:
     worst = 0.0
-    for i, a in enumerate(ks1.a_ops, start=1):
-        p = a / 2.0
+    for i, p in enumerate(ks1.projectors, start=1):
         worst = max(worst, float(np.max(np.abs(p @ p - p))))
         rank = float(np.trace(p).real)
         if abs(rank - 2.0) > 1e-12:
@@ -111,19 +109,16 @@ def _check_kraus_completeness(sets: dict[int, KrausSet]) -> tuple[bool, str]:
 
 
 def _check_swap_matrix() -> tuple[bool, str]:
-    swap = swap_gate(THREE_QUBITS, 0, 2)
-    if not np.array_equal(swap, SWAP_0_2_REFERENCE):
+    if not np.array_equal(SWAP_0_2, SWAP_0_2_REFERENCE):
         return False, "swap matrix differs from the golden transcription"
-    if not approx_eq(swap @ swap, identity(8), 0.0):
+    if not approx_eq(SWAP_0_2 @ SWAP_0_2, identity(8), 0.0):
         return False, "swap matrix is not an involution"
     return True, "swap matrix matches the golden transcription and squares to identity"
 
 
 def _check_correction_search() -> tuple[bool, str]:
     for j in RESOURCE_INDICES:
-        derived = derive_corrections(j).unitaries
-        production = correction_set(j).unitaries
-        for i, (d, p) in enumerate(zip(derived, production), start=1):
+        for i, (d, p) in enumerate(zip(derive_corrections(j), correction_set(j)), start=1):
             overlap = dagger(d) @ p
             # equal up to a global phase iff U_d^dag U_p is a phase times identity
             phase_dev = float(np.max(np.abs(np.abs(overlap) - np.eye(2))))

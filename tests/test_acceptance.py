@@ -159,7 +159,7 @@ def test_criterion_6_swap_contrast():
 
 
 def test_criterion_7_correction_derivation():
-    derived = derive_corrections(1).unitaries
+    derived = derive_corrections(1)
     resource1_ok = all(
         float(np.max(np.abs(np.abs(dagger(found) @ published) - identity(2)))) <= 1e-10
         for found, published in zip(derived, PUBLISHED_RESOURCE_1_CORRECTIONS)

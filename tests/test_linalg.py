@@ -9,7 +9,6 @@ from qteleport.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    Factorization,
     approx_eq,
     dagger,
     eig_hermitian,
@@ -101,28 +100,32 @@ class TestTrace:
 
 
 class TestFactorization:
+    """A dims tuple reads the basis index big-endian: factor 0 is the most significant digit."""
+
     def test_digit_round_trip(self):
-        f = Factorization((2, 3, 2))
-        for n in range(f.dim):
-            assert f.index_of(f.digits_of(n)) == n
+        # e_n of dims (2, 3, 2) is the product of its mixed-radix digits' basis vectors
+        dims = (2, 3, 2)
+        for n in range(12):
+            digits = (n // 6, (n // 2) % 3, n % 2)
+            factors = [np.eye(d)[digit] for d, digit in zip(dims, digits)]
+            assert np.array_equal(kron(*factors), np.eye(12)[n])
+            assert np.eye(12)[n].reshape(dims)[digits] == 1.0
 
     def test_big_endian_convention(self):
-        f = Factorization((2, 2, 2))
-        assert f.digits_of(3) == (0, 1, 1)
-        assert f.digits_of(4) == (1, 0, 0)
+        e = np.eye(2)
+        assert np.array_equal(kron(e[0], e[1], e[1]), np.eye(8)[3])
+        assert np.array_equal(kron(e[1], e[0], e[0]), np.eye(8)[4])
 
     def test_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            Factorization((2, 0, 2))
-        with pytest.raises(ValueError):
-            Factorization(())
+        # only positive Python or numpy integers are dimensions; 2.5 and "2" are not
+        for dims in [(2, 0, 2), (), (2.5, 2, 2), "222", (True, 2, 2), (2, np.float64(2.0), 2), 8, None]:
+            with pytest.raises(ValueError, match="factor dims"):
+                partial_trace(identity(8) / 8.0, dims, {0})
 
-    def test_index_range_errors(self):
-        f = Factorization((2, 2))
-        with pytest.raises(ValueError):
-            f.digits_of(4)
-        with pytest.raises(ValueError):
-            f.index_of((2, 0))
+    def test_accepts_numpy_integers(self):
+        rho = random_ginibre_density(np.random.default_rng(3), 8)
+        dims = tuple(np.int64(2) for _ in range(3))
+        assert np.array_equal(partial_trace(rho, dims, {np.int64(2)}), partial_trace(rho, (2, 2, 2), {2}))
 
 
 class TestPartialTrace:
@@ -139,6 +142,9 @@ class TestPartialTrace:
         rho_b = random_ginibre_density(rng, 4)
         assert approx_eq(partial_trace(kron(rho_a, rho_b), (2, 4), {1}), rho_b, 1e-12)
         assert approx_eq(partial_trace(kron(rho_a, rho_b), (2, 4), {0}), rho_a, 1e-12)
+        factors = [random_ginibre_density(rng, 2) for _ in range(3)]
+        for i, f in enumerate(factors):
+            assert approx_eq(partial_trace(kron(*factors), (2, 2, 2), {i}), f, 1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_keep_first_factor_scales_by_trace(self, seed):
@@ -177,6 +183,15 @@ class TestPartialTrace:
             partial_trace(rho, (2, 2), {0})
         with pytest.raises(ValueError):
             partial_trace(np.ones((4, 2)), (2, 2), {0})
+
+    @pytest.mark.parametrize(
+        "keep",
+        [{1.7}, {True}, {np.True_}, {0, None}, {0, "1"}, {-1}, [np.float64(1.0)]],
+        ids=["float", "bool", "numpy-bool", "mixed-none", "mixed-str", "negative", "numpy-float"],
+    )
+    def test_rejects_bad_keep(self, keep):
+        with pytest.raises(ValueError, match="factor index"):
+            partial_trace(identity(8) / 8.0, (2, 2, 2), keep)
 
 
 class TestEigHermitian:

@@ -10,11 +10,12 @@ from helpers import (
     initial_state_pattern,
     random_ginibre_density,
 )
-from qteleport.linalg import Factorization, approx_eq, dagger, identity, kron, partial_trace
+from qteleport.linalg import approx_eq, dagger, identity, kron, partial_trace
 from qteleport.protocol import (
     ENSEMBLE,
     RESOURCE_INDICES,
     SINGLE_SHOT,
+    SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
     bell_basis,
@@ -34,6 +35,7 @@ from qteleport.serialize import dumps, report_to_json
 from qteleport.states import (
     DensityMatrix,
     QubitState,
+    StateValidationError,
     fidelity_pure,
     ket_to_density,
     purity,
@@ -48,39 +50,40 @@ SQ = 2 ** -0.5
 class TestBellBasis:
     def test_first_and_last_vectors(self):
         basis = bell_basis()
-        assert np.allclose(basis.vectors[0].amplitudes, np.array([1, 0, 0, 1]) * SQ)
-        assert np.allclose(basis.vectors[3].amplitudes, np.array([0, 1, -1, 0]) * SQ)
+        assert type(basis) is tuple and len(basis) == 4
+        assert np.allclose(basis[0].amplitudes, np.array([1, 0, 0, 1]) * SQ)
+        assert np.allclose(basis[3].amplitudes, np.array([0, 1, -1, 0]) * SQ)
 
     def test_gram_matrix_is_identity(self):
-        vectors = np.column_stack([k.amplitudes for k in bell_basis().vectors])
+        vectors = np.column_stack([k.amplitudes for k in bell_basis()])
         assert approx_eq(dagger(vectors) @ vectors, identity(4), 1e-12)
 
     def test_vectors_maximally_entangled(self):
-        for k in bell_basis().vectors:
+        for k in bell_basis():
             rho = ket_to_density(k).matrix
             for factor in (0, 1):
                 assert approx_eq(partial_trace(rho, (2, 2), {factor}), identity(2) / 2, 1e-12)
 
 
 class TestIndexMap:
+    """The three virtual qubits are reshape(2, 2, 2) of the basis index n = 4a + 2b + c."""
+
+    E = np.eye(2)
+
     def test_worked_example(self):
-        assert THREE_QUBITS.digits_of(3) == (0, 1, 1)
+        # |3> = |011>
+        assert np.array_equal(np.eye(8)[3], kron(self.E[0], self.E[1], self.E[1]))
 
     def test_extremes(self):
-        assert THREE_QUBITS.digits_of(0) == (0, 0, 0)
-        assert THREE_QUBITS.digits_of(7) == (1, 1, 1)
+        assert np.array_equal(np.eye(8)[0], kron(self.E[0], self.E[0], self.E[0]))
+        assert np.array_equal(np.eye(8)[7], kron(self.E[1], self.E[1], self.E[1]))
 
     def test_round_trip(self):
+        assert THREE_QUBITS == (2, 2, 2)
         for n in range(8):
-            assert THREE_QUBITS.index_of(THREE_QUBITS.digits_of(n)) == n
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            THREE_QUBITS.digits_of(8)
-        with pytest.raises(ValueError):
-            THREE_QUBITS.digits_of(-1)
-        with pytest.raises(ValueError):
-            THREE_QUBITS.index_of((0, 2, 0))
+            a, b, c = n // 4, (n // 2) % 2, n % 2
+            assert np.array_equal(np.eye(8)[n], kron(self.E[a], self.E[b], self.E[c]))
+            assert np.eye(8)[n].reshape(THREE_QUBITS)[a, b, c] == 1.0
 
 
 class TestBuildInitialState:
@@ -152,6 +155,31 @@ class TestKrausSet:
             ks.kraus[0][0, 0] = 1.0
         with pytest.raises(AttributeError):
             ks.kraus = ()
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_projectors_are_halved_a_ops_bit_for_bit(self, resource):
+        ks = kraus_set(resource)
+        assert len(ks.projectors) == 4
+        for p, a in zip(ks.projectors, ks.a_ops):
+            assert np.array_equal(p, a / 2)
+
+    def test_projectors_are_read_only(self):
+        ks = kraus_set(1)
+        with pytest.raises(ValueError):
+            ks.projectors[0][0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            ks.projectors = ()
+
+    def test_corrupted_set_builds_its_own_projectors(self):
+        ks = kraus_set(2)
+        bad = corrupted_for_negative_control(ks)
+        assert not np.array_equal(bad.projectors[0], ks.projectors[0])
+        assert np.array_equal(bad.projectors[0], bad.a_ops[0] / 2)
+        # the branch pass reads them, so the corrupted set reaches it
+        rho_in = build_initial_state(QubitState(0.6, 0.8j), 2)
+        measurement_branches(rho_in, ks)
+        with pytest.raises(StateValidationError):
+            measurement_branches(rho_in, bad)
 
     def test_corrupted_set_builds_its_own_kraus(self):
         ks = kraus_set(2)
@@ -270,6 +298,25 @@ class TestSingleShot:
         mixture = sum(p * s.matrix for p, s in measurement_branches(rho_in, ks))
         assert approx_eq(mixture, teleport_channel(rho_in, ks).matrix, 1e-10)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [1.5, True, np.True_, -1, "3", None],
+        ids=["float", "bool", "numpy-bool", "negative", "str", "none"],
+    )
+    def test_rejects_bad_seed(self, seed):
+        rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
+        with pytest.raises(ValueError, match="rng_seed"):
+            single_shot(rho_in, kraus_set(1), seed)
+
+    def test_accepts_a_generator_or_numpy_integer_seed(self):
+        rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
+        ks = kraus_set(1)
+        outcome, state = single_shot(rho_in, ks, 7)
+        for seed in (np.int64(7), np.random.default_rng(7)):
+            same_outcome, same_state = single_shot(rho_in, ks, seed)
+            assert same_outcome == outcome
+            assert np.array_equal(same_state.matrix, state.matrix)
+
     def test_deterministic_for_fixed_seed(self):
         rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
         ks = kraus_set(1)
@@ -302,25 +349,26 @@ class TestSingleShot:
 
 class TestCorrections:
     def test_resource_1_search_matches_published_up_to_phase(self):
-        derived = derive_corrections(1).unitaries
+        derived = derive_corrections(1)
         for found, published in zip(derived, PUBLISHED_RESOURCE_1_CORRECTIONS):
             overlap = dagger(found) @ published
             assert np.max(np.abs(np.abs(overlap) - identity(2))) <= 1e-10
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_search_reproduces_hand_derived_tuples(self, resource):
-        derived = derive_corrections(resource).unitaries
+        derived = derive_corrections(resource)
+        assert type(derived) is tuple and len(derived) == 4
         for found, expected in zip(derived, HAND_DERIVED_CORRECTIONS[resource]):
             assert np.array_equal(found, expected)
 
     def test_production_set_for_resource_1_is_published_exactly(self):
-        production = correction_set(1).unitaries
+        production = correction_set(1)
         for u, published in zip(production, PUBLISHED_RESOURCE_1_CORRECTIONS):
             assert np.array_equal(u, published)
 
     def test_singlet_corrections_compose_resource1_with_outcome4(self):
-        u1 = correction_set(1).unitaries
-        u4 = derive_corrections(4).unitaries
+        u1 = correction_set(1)
+        u4 = derive_corrections(4)
         for i in range(4):
             composed = u1[i] @ u1[3]
             overlap = dagger(u4[i]) @ composed
@@ -340,7 +388,7 @@ class TestCorrections:
         paulis = [identity(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
                   np.array([[1, 0], [0, -1]])]
         for resource in RESOURCE_INDICES:
-            for u in correction_set(resource).unitaries:
+            for u in correction_set(resource):
                 assert approx_eq(dagger(u) @ u, identity(2), 1e-12)
                 assert any(
                     np.max(np.abs(np.abs(dagger(u) @ p) - identity(2))) <= 1e-12 for p in paulis
@@ -369,9 +417,14 @@ class TestSwapGate:
         assert approx_eq(moved, expected, 1e-10)
 
     def test_general_factorizations(self):
-        f = Factorization((2, 3, 2))
-        swap = swap_gate(f, 0, 2)
+        swap = swap_gate((2, 3, 2), 0, 2)
         assert approx_eq(swap @ swap, identity(12), 0.0)
+        # |a b c> -> |c b a> on the mixed-radix index 6a + 2b + c
+        for n in range(12):
+            a, b, c = n // 6, (n // 2) % 3, n % 2
+            assert swap[6 * c + 2 * b + a, n] == 1.0
+        assert np.array_equal(swap_gate((2, 2, 2), 0, 2), SWAP_0_2_REFERENCE)
+        assert np.array_equal(swap_gate(THREE_QUBITS, np.int64(2), np.int64(0)), SWAP_0_2_REFERENCE)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -379,7 +432,24 @@ class TestSwapGate:
         with pytest.raises(ValueError):
             swap_gate(THREE_QUBITS, 0, 3)
         with pytest.raises(ValueError):
-            swap_gate(Factorization((2, 4)), 0, 1)
+            swap_gate((2, 4), 0, 1)
+
+    @pytest.mark.parametrize(
+        "dims,p,q",
+        [
+            (THREE_QUBITS, 0.0, 2),
+            (THREE_QUBITS, True, 2),
+            (THREE_QUBITS, 0, np.float64(2.0)),
+            (THREE_QUBITS, -1, 2),
+            ((2, 2.0, 2), 0, 2),
+            ("222", 0, 2),
+            ((), 0, 1),
+        ],
+        ids=["float-index", "bool-index", "numpy-float-index", "negative-index", "float-dim", "str-dims", "empty-dims"],
+    )
+    def test_rejects_malformed_dims_and_indices(self, dims, p, q):
+        with pytest.raises(ValueError, match="factor"):
+            swap_gate(dims, p, q)
 
 
 class TestCompareSwapVsTeleport:
@@ -399,6 +469,23 @@ class TestCompareSwapVsTeleport:
         bell_u = np.array([1, 0, 0, 1], dtype=complex)
         assert approx_eq(comparison.swap.marginal_12.matrix, np.outer(bell_u, bell_u) / 2.0, 1e-10)
         assert approx_eq(comparison.teleport.marginal_12.matrix, identity(4) / 4.0, 1e-10)
+
+    def test_uses_the_swap_matrix_built_at_import(self, monkeypatch):
+        assert np.array_equal(SWAP_0_2, SWAP_0_2_REFERENCE)
+        assert not SWAP_0_2.flags.writeable
+
+        def fail(*args):
+            raise AssertionError("swap_gate was called again")
+
+        monkeypatch.setattr("qteleport.protocol.swap_gate", fail)
+        comparison = compare_swap_vs_teleport(QubitState(0.6, 0.8))
+        assert comparison.swap.fidelity_3 == pytest.approx(1.0, abs=1e-9)
+        # dump-tables and the verify suite read the same constant
+        from qteleport.cli import EXIT_OK, main
+        from qteleport.verify import run_checks
+
+        assert main(["dump-tables", "--output", "json"]) == EXIT_OK
+        assert all(r.passed for r in run_checks(count=10))
 
     def test_resource_flags(self):
         comparison = compare_swap_vs_teleport(QubitState(1, 0))
