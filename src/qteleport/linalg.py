@@ -27,7 +27,7 @@ def identity(dim: int) -> np.ndarray:
 def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex ndarray, rejecting NaN/Inf entries."""
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -43,7 +43,13 @@ def kron(*factors: np.ndarray) -> np.ndarray:
         raise ValueError("kron requires at least one factor")
     out = as_complex_array(factors[0], "kron factor")
     for f in factors[1:]:
-        out = np.kron(out, as_complex_array(f, "kron factor"))
+        f = as_complex_array(f, "kron factor")
+        if out.ndim == f.ndim == 2:
+            # the elementwise products np.kron forms, without its axis bookkeeping
+            (m, n), (p, q) = out.shape, f.shape
+            out = (out[:, None, :, None] * f[None, :, None, :]).reshape(m * p, n * q)
+        else:
+            out = np.kron(out, f)
     return out
 
 
@@ -72,7 +78,10 @@ def _check_factors(dims: Sequence[int], indices: Iterable[int] = ()) -> tuple[tu
     """
     if not isinstance(dims, (tuple, list)) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
         raise ValueError(f"factor dims must be a non-empty tuple of positive integers, got {dims!r}")
-    indices = list(indices)
+    try:
+        indices = list(indices)
+    except TypeError:
+        raise ValueError(f"factor index set must be iterable, got {indices!r}") from None
     for i in indices:
         if not _is_int(i) or not 0 <= i < len(dims):
             raise ValueError(f"factor index {i!r} out of range for {len(dims)} factors")
@@ -119,7 +128,7 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = as_complex_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eig_hermitian requires a square matrix, got shape {a.shape}")
-    herm_dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    herm_dev = float(abs(a - a.conj().T).max()) if a.size else 0.0
     if herm_dev > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {herm_dev:.3e} > {TOL_HERM:.3e}")
 
@@ -127,7 +136,7 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = ascending[::-1], vectors[:, ::-1]
 
     recon = (vectors * values) @ vectors.conj().T
-    recon_err = float(np.max(np.abs(recon - a)))
+    recon_err = float(abs(recon - a).max())
     if recon_err > TOL_RECON:
         raise RuntimeError(f"eigendecomposition reconstruction error {recon_err:.3e} exceeds {TOL_RECON:.3e}")
     return values, vectors

@@ -71,7 +71,9 @@ class KrausSet:
     (the map operators K_i = B_i A_i / 2) are read-only and built once from
     this instance's own pairs; the branches are P rho P, the channel is
     sum K rho K^dagger, which folds in the ensemble weight 1/4 (= (1/2)^2),
-    and sum K^dagger K is the identity.
+    and sum K^dagger K is the identity. The same P, K and K^dagger are also
+    kept stacked as read-only (4, 8, 8) arrays, and the B^dagger as a tuple,
+    so that each pass over the four outcomes is one batched product.
     """
 
     resource_index: int
@@ -79,12 +81,21 @@ class KrausSet:
     b_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     projectors: tuple[np.ndarray, ...] = field(init=False)
     kraus: tuple[np.ndarray, ...] = field(init=False)
+    projector_stack: np.ndarray = field(init=False, repr=False)
+    kraus_stack: np.ndarray = field(init=False, repr=False)
+    kraus_dagger_stack: np.ndarray = field(init=False, repr=False)
+    b_daggers: tuple[np.ndarray, ...] = field(init=False, repr=False)
     weight: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "projectors", tuple(_frozen(a / 2.0) for a in self.a_ops))
-        kraus = tuple(_frozen(b @ a / 2.0) for a, b in zip(self.a_ops, self.b_ops))
-        object.__setattr__(self, "kraus", kraus)
+        a, b = np.stack(self.a_ops), np.stack(self.b_ops)
+        projector_stack, kraus_stack = _frozen(a / 2.0), _frozen(b @ a / 2.0)
+        object.__setattr__(self, "projector_stack", projector_stack)
+        object.__setattr__(self, "kraus_stack", kraus_stack)
+        object.__setattr__(self, "kraus_dagger_stack", _frozen(kraus_stack.conj().transpose(0, 2, 1)))
+        object.__setattr__(self, "b_daggers", tuple(_frozen(b.conj().transpose(0, 2, 1))))
+        object.__setattr__(self, "projectors", tuple(projector_stack))
+        object.__setattr__(self, "kraus", tuple(kraus_stack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,14 +187,15 @@ def _doubled_bell_projector(index: int) -> np.ndarray:
 _A_OPS = tuple(
     _frozen(kron(_doubled_bell_projector(i), IDENTITY_2)) for i in RESOURCE_INDICES
 )
-_PROJECTORS = tuple(_frozen(a / 2.0) for a in _A_OPS)
+_PROJECTORS = _frozen(np.stack(_A_OPS) / 2.0)
+# |beta^i><beta^i|, the resource state on factors 1 and 2; entry i-1 is resource i.
+_BELL_DENSITIES = tuple(_frozen(_doubled_bell_projector(i) / 2.0) for i in RESOURCE_INDICES)
 
 
 def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatrix:
     """Pre-protocol state: |psi><psi| on factor 0, Bell resource on factors 1, 2."""
     resource_index = _check_resource_index(resource_index)
-    bell_density = _doubled_bell_projector(resource_index) / 2.0
-    return DensityMatrix(kron(ket_to_density(psi.ket()).matrix, bell_density))
+    return DensityMatrix(kron(ket_to_density(psi.ket()).matrix, _BELL_DENSITIES[resource_index - 1]))
 
 
 # Production correction table for resource 1, exactly as published: the
@@ -274,23 +286,21 @@ def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     """Ensemble output: sum_i K_i rho K_i-dagger with K_i = B^i A^i / 2."""
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
-    rho = rho_in.matrix
-    return DensityMatrix(sum(k @ rho @ dagger(k) for k in ks.kraus))
+    # one batched product; the builtin sum adds the four terms in outcome order
+    return DensityMatrix(sum(ks.kraus_stack @ rho_in.matrix @ ks.kraus_dagger_stack))
 
 
-def _project(
-    rho_in: DensityMatrix, projectors: tuple[np.ndarray, ...]
-) -> tuple[list[np.ndarray], tuple[float, ...]]:
-    """Unnormalized post-measurement states P_i rho P_i and their traces p_i."""
+def _project(rho_in: DensityMatrix, projectors: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Unnormalized post-measurement states P_i rho P_i, stacked, and their traces p_i."""
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
-    projected = [p @ rho_in.matrix @ p for p in projectors]
-    return projected, tuple(float(np.trace(m).real) for m in projected)
+    projected = projectors @ rho_in.matrix @ projectors
+    return projected, tuple(projected.trace(axis1=1, axis2=2).real.tolist())
 
 
-def _corrected_branch(b: np.ndarray, projected: np.ndarray, p: float) -> DensityMatrix:
-    """Normalized post-state of one outcome after its correction b."""
-    return DensityMatrix(b @ projected @ dagger(b) / p)
+def _corrected_branch(ks: KrausSet, i: int, projected: np.ndarray, p: float) -> DensityMatrix:
+    """Normalized post-state of outcome i + 1 after its correction B^(i+1)."""
+    return DensityMatrix(ks.b_ops[i] @ projected[i] @ ks.b_daggers[i] / p)
 
 
 def _shot(
@@ -302,7 +312,7 @@ def _shot(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    projected, probabilities = _project(rho_in, ks.projectors)
+    projected, probabilities = _project(rho_in, ks.projector_stack)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
         raise ValueError("all measurement branches have vanishing probability")
@@ -312,7 +322,7 @@ def _shot(
         acc += probabilities[chosen]
         if u < acc:
             break
-    return probabilities, chosen + 1, _corrected_branch(ks.b_ops[chosen], projected[chosen], probabilities[chosen])
+    return probabilities, chosen + 1, _corrected_branch(ks, chosen, projected, probabilities[chosen])
 
 
 def measurement_branches(
@@ -323,10 +333,10 @@ def measurement_branches(
     Outcomes with probability at or below MIN_BRANCH_PROBABILITY carry None
     instead of a normalized state.
     """
-    projected, probabilities = _project(rho_in, ks.projectors)
+    projected, probabilities = _project(rho_in, ks.projector_stack)
     return tuple(
-        (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(b, m, p))
-        for b, m, p in zip(ks.b_ops, projected, probabilities)
+        (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(ks, i, projected, p))
+        for i, p in enumerate(probabilities)
     )
 
 
@@ -351,9 +361,10 @@ def single_shot(
 
 
 def _marginals(out: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
-    marginal_12 = DensityMatrix(partial_trace(out.matrix, THREE_QUBITS, {0, 1}))
-    marginal_3 = DensityMatrix(partial_trace(out.matrix, THREE_QUBITS, {2}))
-    return marginal_12, marginal_3
+    """Reductions onto factors 0, 1 and onto factor 2, as partial_trace over THREE_QUBITS."""
+    # a = factors 0, 1 of the row index, j = factor 2; b, k the same for the column
+    tensor = out.matrix.reshape(4, 2, 4, 2)
+    return DensityMatrix(np.einsum("ajbj->ab", tensor)), DensityMatrix(np.einsum("ajak->jk", tensor))
 
 
 def run_protocol(

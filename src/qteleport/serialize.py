@@ -26,9 +26,7 @@ def round_sig(x: float, digits: int = SIGNIFICANT_DIGITS) -> float:
 
 
 def _number(x: float) -> float | int:
-    if x == 0:  # most entries of a report; skips the decimal round trip
-        return 0
-    r = round_sig(x)
+    r = float(f"{float(x):.{SIGNIFICANT_DIGITS}g}")  # round_sig inlined: this runs once per entry
     return int(r) if r.is_integer() and abs(r) < 2**53 else r
 
 
@@ -44,7 +42,11 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[_number(re), _number(im)] for re, im in zip(flat.real.tolist(), flat.imag.tolist())],
+        # most entries of a report are exact zeros, which skip the decimal round trip
+        "entries": [
+            [_number(re) if re else 0, _number(im) if im else 0]
+            for re, im in zip(flat.real.tolist(), flat.imag.tolist())
+        ],
     }
 
 

@@ -98,10 +98,12 @@ def ket(amplitudes: object, renormalize: bool = False) -> Ket:
     """Build a Ket, optionally rescaling the amplitudes to unit norm."""
     amps = as_complex_array(amplitudes, "ket amplitudes")
     if renormalize:
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
+        # dividing by the largest modulus first keeps the squares in the norm from overflowing
+        scale = float(abs(amps).max(initial=0.0))
+        if scale == 0.0:
             raise ValueError("cannot renormalize the zero vector")
-        amps = amps / norm
+        amps = amps / scale
+        amps = amps / np.linalg.norm(amps)
     return Ket(amps)
 
 
@@ -119,10 +121,12 @@ class DensityMatrix:
         m = _frozen_complex(self.matrix, "density matrix")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        if m.size == 0:
+            raise ValueError(f"density matrix must be non-empty, got shape {m.shape}")
+        herm_dev = float(abs(m - m.conj().T).max())
         if herm_dev > TOL_HERM:
             raise NotHermitian("density matrix is not Hermitian", herm_dev)
-        trace_dev = abs(complex(np.trace(m)) - 1.0)
+        trace_dev = abs(complex(m.trace()) - 1.0)
         if trace_dev > TOL_NORM:
             raise TraceNotOne("density matrix trace differs from 1", trace_dev)
         object.__setattr__(self, "matrix", m)
@@ -154,7 +158,7 @@ def ket_to_density(k: Ket) -> DensityMatrix:
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), between 1/d (maximally mixed) and 1 (pure)."""
     m = rho.matrix
-    return float(np.trace(m @ m).real)
+    return float((m @ m).trace().real)
 
 
 def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
@@ -192,4 +196,4 @@ def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random density matrix from a complex Ginibre factor."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix(m / m.trace().real)

@@ -76,6 +76,20 @@ class TestKron:
         with pytest.raises(ValueError):
             kron(np.array([[np.nan, 0], [0, 1]]), IDENTITY_2)
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 2), (2, 2)], [(2, 3), (4, 1)], [(1, 5), (3, 2)], [(2, 2), (3, 1), (2, 4)], [(3,), (2,)], [(0, 2), (2, 2)]],
+        ids=["square", "non-square", "row-by-column", "three-factors", "vectors", "empty"],
+    )
+    def test_equals_numpy_kron_bit_for_bit(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        factors = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
+        expected = factors[0]
+        for f in factors[1:]:
+            expected = np.kron(expected, f)
+        out = kron(*factors)
+        assert out.shape == expected.shape and np.array_equal(out, expected)
+
 
 class TestDagger:
     def test_identity(self):
@@ -186,8 +200,9 @@ class TestPartialTrace:
 
     @pytest.mark.parametrize(
         "keep",
-        [{1.7}, {True}, {np.True_}, {0, None}, {0, "1"}, {-1}, [np.float64(1.0)]],
-        ids=["float", "bool", "numpy-bool", "mixed-none", "mixed-str", "negative", "numpy-float"],
+        [{1.7}, {True}, {np.True_}, {0, None}, {0, "1"}, {-1}, [np.float64(1.0)], 2, np.int64(2), None],
+        ids=["float", "bool", "numpy-bool", "mixed-none", "mixed-str", "negative", "numpy-float",
+             "int", "numpy-int", "none"],
     )
     def test_rejects_bad_keep(self, keep):
         with pytest.raises(ValueError, match="factor index"):

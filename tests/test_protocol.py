@@ -18,6 +18,8 @@ from qteleport.protocol import (
     SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
+    _marginals,
+    _project,
     bell_basis,
     build_initial_state,
     compare_swap_vs_teleport,
@@ -34,6 +36,7 @@ from qteleport.reference import A_OPS_REFERENCE, B_OPS_REFERENCE, SWAP_0_2_REFER
 from qteleport.serialize import dumps, report_to_json
 from qteleport.states import (
     DensityMatrix,
+    Ket,
     QubitState,
     StateValidationError,
     fidelity_pure,
@@ -577,3 +580,118 @@ class TestRunProtocol:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             run_protocol(QubitState(1, 0), 1, "both")
+
+
+def _trace_kept_by(ks: KrausSet) -> DensityMatrix:
+    """A state whose trace the set's channel keeps, even where sum K^dag K != I.
+
+    Mixing the eigenvectors of E = sum K^dag K - I with the lowest and the
+    highest eigenvalue in the right proportion gives Tr(E rho) = 0.
+    """
+    w, v = np.linalg.eigh(sum(dagger(k) @ k for k in ks.kraus) - identity(8))
+    lo, hi = np.outer(v[:, 0], v[:, 0].conj()), np.outer(v[:, -1], v[:, -1].conj())
+    return DensityMatrix((w[-1] * lo - w[0] * hi) / (w[-1] - w[0]))
+
+
+def _sample_states(resource: int) -> list[DensityMatrix]:
+    rng = np.random.default_rng(resource)
+    states = [DensityMatrix(random_ginibre_density(rng, 8)) for _ in range(3)]
+    return states + [build_initial_state(QubitState(*haar_qubit_amplitudes(rng)), resource)]
+
+
+class TestStackedPasses:
+    """The batched passes equal, bit for bit, the per-operator loops they replace."""
+
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["good", "corrupted"])
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_stacks_hold_the_instance_operators(self, resource, corrupted):
+        ks = kraus_set(resource)
+        ks = corrupted_for_negative_control(ks) if corrupted else ks
+        assert ks.projector_stack.shape == ks.kraus_stack.shape == ks.kraus_dagger_stack.shape == (4, 8, 8)
+        for i, (a, b) in enumerate(zip(ks.a_ops, ks.b_ops)):
+            assert np.array_equal(ks.projector_stack[i], a / 2.0)
+            assert np.array_equal(ks.kraus_stack[i], b @ a / 2.0)
+            assert np.array_equal(ks.kraus_dagger_stack[i], dagger(b @ a / 2.0))
+            assert np.array_equal(ks.b_daggers[i], dagger(b))
+
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["good", "corrupted"])
+    def test_stacks_are_read_only(self, corrupted):
+        ks = kraus_set(2)
+        ks = corrupted_for_negative_control(ks) if corrupted else ks
+        for array in (ks.projector_stack, ks.kraus_stack, ks.kraus_dagger_stack, *ks.b_daggers):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            ks.kraus_stack = ks.kraus_stack.copy()
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_channel_equals_the_per_operator_sum(self, resource):
+        ks = kraus_set(resource)
+        for rho in _sample_states(resource):
+            expected = sum(k @ rho.matrix @ dagger(k) for k in ks.kraus)
+            assert np.array_equal(teleport_channel(rho, ks).matrix, expected)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_channel_of_the_corrupted_set_equals_its_per_operator_sum(self, resource):
+        good = kraus_set(resource)
+        bad = corrupted_for_negative_control(good)
+        rho = _trace_kept_by(bad)
+        out = teleport_channel(rho, bad).matrix
+        assert np.array_equal(out, sum(k @ rho.matrix @ dagger(k) for k in bad.kraus))
+        assert not np.allclose(out, teleport_channel(rho, good).matrix)
+
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["good", "corrupted"])
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_projection_equals_the_per_projector_loop(self, resource, corrupted):
+        ks = kraus_set(resource)
+        ks = corrupted_for_negative_control(ks) if corrupted else ks
+        for rho in _sample_states(resource):
+            projected, probabilities = _project(rho, ks.projector_stack)
+            expected = [p @ rho.matrix @ p for p in ks.projectors]
+            assert all(np.array_equal(m, e) for m, e in zip(projected, expected, strict=True))
+            assert probabilities == tuple(float(np.trace(e).real) for e in expected)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_branches_equal_the_per_outcome_loop(self, resource):
+        ks = kraus_set(resource)
+        for rho in _sample_states(resource):
+            for (p, state), a, b in zip(measurement_branches(rho, ks), ks.a_ops, ks.b_ops, strict=True):
+                expected = b @ (a / 2.0 @ rho.matrix @ (a / 2.0)) @ dagger(b) / p
+                assert np.array_equal(state.matrix, expected)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_marginals_equal_partial_trace(self, resource):
+        ks = kraus_set(resource)
+        for rho in _sample_states(resource):
+            for state in (rho, teleport_channel(rho, ks)):
+                marginal_12, marginal_3 = _marginals(state)
+                assert np.array_equal(marginal_12.matrix, partial_trace(state.matrix, THREE_QUBITS, {0, 1}))
+                assert np.array_equal(marginal_3.matrix, partial_trace(state.matrix, THREE_QUBITS, {2}))
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_initial_state_equals_the_kron_of_the_two_densities(self, resource):
+        psi = QubitState(*haar_qubit_amplitudes(np.random.default_rng(resource)))
+        bell = bell_basis()[resource - 1].amplitudes
+        expected = np.kron(ket_to_density(psi.ket()).matrix, np.outer(bell, bell.conj()))
+        assert approx_eq(build_initial_state(psi, resource).matrix, expected, 1e-15)
+
+    @pytest.mark.parametrize(
+        "op, densities, kets",
+        [
+            (lambda psi, j: run_protocol(psi, j, ENSEMBLE, 0), 9, 2),
+            (lambda psi, j: run_protocol(psi, j, SINGLE_SHOT, 3), 5, 2),
+            (lambda psi, j: compare_swap_vs_teleport(psi), 8, 3),
+        ],
+        ids=["ensemble", "single-shot", "compare"],
+    )
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_every_state_is_still_validated(self, op, densities, kets, resource, monkeypatch):
+        counts = {DensityMatrix: 0, Ket: 0}
+        for cls in counts:
+            def counted(self, check=cls.__post_init__, cls=cls):
+                counts[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        op(QubitState(0.6, 0.8j), resource)
+        assert counts == {DensityMatrix: densities, Ket: kets}

@@ -69,6 +69,17 @@ class TestMatrixSchema:
         assert round_sig(0.25) == 0.25
         assert round_sig(1.0000000000000002) == 1.0
 
+    def test_entries_are_round_sig_of_each_part_with_zeros_as_int(self):
+        parts = [0.0, -0.0, 1 / 3, -2.0, 1e-300, 2.0**60, 5e-324, 1.0000000000000002]
+        m = np.array([complex(re, im) for re in parts for im in parts])
+        entries = matrix_to_json(m.reshape(8, 8))["entries"]
+        for (re, im), z in zip(entries, m, strict=True):
+            for written, x in ((re, z.real), (im, z.imag)):
+                expected = round_sig(x)
+                if expected.is_integer() and abs(expected) < 2**53:
+                    expected = int(expected)
+                assert written == expected and type(written) is type(expected)
+
 
 class TestStateTags:
     def test_density_tag(self):

@@ -1,10 +1,12 @@
 """State types, validation errors, and scalar diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import haar_qubit_amplitudes, random_hermitian
-from qteleport.linalg import PAULI_X, eig_hermitian, identity
+from qteleport.linalg import PAULI_X, eig_hermitian, identity, kron, partial_trace
 from qteleport.states import (
     DensityMatrix,
     Ket,
@@ -18,6 +20,7 @@ from qteleport.states import (
     ket_to_density,
     purity,
     qubit_state,
+    random_density,
     validate_density,
     von_neumann_entropy,
 )
@@ -53,6 +56,15 @@ class TestKet:
     def test_renormalize_flag(self):
         k = ket([3.0, 4.0], renormalize=True)
         assert np.allclose(k.amplitudes, [0.6, 0.8])
+
+    @pytest.mark.parametrize(
+        "amplitudes, expected",
+        [([3e200, 4e200], [0.6, 0.8]), ([3e-200, 4e-200j], [0.6, 0.8j]), ([1e308, -1e308j], [SQ, -1j * SQ])],
+        ids=["huge", "tiny", "near-max"],
+    )
+    def test_renormalize_does_not_overflow_or_underflow(self, amplitudes, expected):
+        # qubit_state already scales through hypot; ket must not square the raw moduli
+        assert np.allclose(ket(amplitudes, renormalize=True).amplitudes, expected, atol=1e-15)
 
     def test_amplitudes_read_only(self):
         k = ket([1.0, 0.0])
@@ -212,3 +224,35 @@ class TestDensityMatrixType:
         rho = DensityMatrix(identity(2) / 2.0)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 9.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix(np.zeros((0, 0))),
+            lambda: validate_density(np.zeros((0, 0))),
+            lambda: random_density(np.random.default_rng(0), 0),
+        ],
+        ids=["density-matrix", "validate-density", "random-density"],
+    )
+    def test_rejects_an_empty_matrix_by_name(self, build):
+        with pytest.raises(ValueError, match=r"^density matrix must be non-empty, got shape \(0, 0\)$"):
+            build()
+
+
+NON_FINITE_ENTRY_CASES = [
+    (lambda x: DensityMatrix(np.array([[x, 0], [0, 1]])), "density matrix"),
+    (lambda x: Ket(np.array([x, 1])), "ket amplitudes"),
+    (lambda x: kron(identity(2), np.array([[x, 0], [0, 1]])), "kron factor"),
+    (lambda x: partial_trace(np.diag([x, 0, 0, 1]), (2, 2), {0}), "matrix"),
+    (lambda x: eig_hermitian(np.array([[x, 0], [0, 1]])), "matrix"),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "build, name", NON_FINITE_ENTRY_CASES,
+    ids=["density-matrix", "ket", "kron", "partial-trace", "eig-hermitian"],
+)
+def test_non_finite_entries_raise_the_same_message(build, name, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} contains non-finite entries$"):
+        build(value)
