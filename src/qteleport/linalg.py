@@ -128,7 +128,9 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = as_complex_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"eig_hermitian requires a square matrix, got shape {a.shape}")
-    herm_dev = float(abs(a - a.conj().T).max()) if a.size else 0.0
+    if a.size == 0:
+        raise ValueError(f"eig_hermitian requires a non-empty matrix, got shape {a.shape}")
+    herm_dev = float(abs(a - a.conj().T).max())
     if herm_dev > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {herm_dev:.3e} > {TOL_HERM:.3e}")
 

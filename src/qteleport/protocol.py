@@ -65,37 +65,31 @@ MODES = (ENSEMBLE, SINGLE_SHOT)
 class KrausSet:
     """Operator pairs defining the teleportation channel on the 8-dim space.
 
-    a_ops hold the doubled Bell projectors (integer entries, a_ops[i]/2 is a
-    rank-2 projector); b_ops the correction unitaries extended by the
-    identity on the measured factors. projectors (P_i = A_i / 2) and kraus
-    (the map operators K_i = B_i A_i / 2) are read-only and built once from
-    this instance's own pairs; the branches are P rho P, the channel is
+    Each field is one read-only (4, 8, 8) complex stack, entry i-1 belonging
+    to outcome i, built once from a copy of the given operators, so later
+    changes to the caller's arrays do not reach the set. a_ops hold the
+    doubled Bell projectors (integer entries, a_ops[i]/2 is a rank-2
+    projector); b_ops the correction unitaries extended by the identity on
+    the measured factors; projectors are P_i = A_i / 2 and kraus the map
+    operators K_i = B_i A_i / 2. The branches are P rho P, the channel is
     sum K rho K^dagger, which folds in the ensemble weight 1/4 (= (1/2)^2),
-    and sum K^dagger K is the identity. The same P, K and K^dagger are also
-    kept stacked as read-only (4, 8, 8) arrays, and the B^dagger as a tuple,
-    so that each pass over the four outcomes is one batched product.
+    and sum K^dagger K is the identity. Daggers are taken where they are
+    used; none is stored.
     """
 
     resource_index: int
-    a_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    b_ops: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    projectors: tuple[np.ndarray, ...] = field(init=False)
-    kraus: tuple[np.ndarray, ...] = field(init=False)
-    projector_stack: np.ndarray = field(init=False, repr=False)
-    kraus_stack: np.ndarray = field(init=False, repr=False)
-    kraus_dagger_stack: np.ndarray = field(init=False, repr=False)
-    b_daggers: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    a_ops: np.ndarray
+    b_ops: np.ndarray
+    projectors: np.ndarray = field(init=False)
+    kraus: np.ndarray = field(init=False)
     weight: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
-        a, b = np.stack(self.a_ops), np.stack(self.b_ops)
-        projector_stack, kraus_stack = _frozen(a / 2.0), _frozen(b @ a / 2.0)
-        object.__setattr__(self, "projector_stack", projector_stack)
-        object.__setattr__(self, "kraus_stack", kraus_stack)
-        object.__setattr__(self, "kraus_dagger_stack", _frozen(kraus_stack.conj().transpose(0, 2, 1)))
-        object.__setattr__(self, "b_daggers", tuple(_frozen(b.conj().transpose(0, 2, 1))))
-        object.__setattr__(self, "projectors", tuple(projector_stack))
-        object.__setattr__(self, "kraus", tuple(kraus_stack))
+        a, b = np.array(self.a_ops, dtype=complex), np.array(self.b_ops, dtype=complex)
+        if a.shape != (4, 8, 8) or b.shape != (4, 8, 8):
+            raise ValueError(f"expected four 8x8 a_ops and b_ops, got shapes {a.shape} and {b.shape}")
+        for name, stack in (("a_ops", a), ("b_ops", b), ("projectors", a / 2.0), ("kraus", b @ a / 2.0)):
+            object.__setattr__(self, name, _frozen(stack))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,10 +178,7 @@ def _doubled_bell_projector(index: int) -> np.ndarray:
 
 
 # The measurement operators A^i = 2 |beta^i><beta^i| (x) I, shared by every resource.
-_A_OPS = tuple(
-    _frozen(kron(_doubled_bell_projector(i), IDENTITY_2)) for i in RESOURCE_INDICES
-)
-_PROJECTORS = _frozen(np.stack(_A_OPS) / 2.0)
+_A_OPS = _frozen(np.stack([kron(_doubled_bell_projector(i), IDENTITY_2) for i in RESOURCE_INDICES]))
 # |beta^i><beta^i|, the resource state on factors 1 and 2; entry i-1 is resource i.
 _BELL_DENSITIES = tuple(_frozen(_doubled_bell_projector(i) / 2.0) for i in RESOURCE_INDICES)
 
@@ -206,9 +197,9 @@ _RESOURCE_1_CORRECTIONS = tuple(
     for m in (IDENTITY_2.copy(), PAULI_X.copy(), PAULI_Z.copy(), 1j * PAULI_Y)
 )
 
-# Canonical search order: Pauli major, phase minor.
-_CANDIDATE_PAULIS = (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z)
-_CANDIDATE_PHASES = ((1.0 + 0.0j), 1.0j, (-1.0 + 0.0j), -1.0j)
+# Canonical search order. Adding 0.0 clears the signed zero that -1j leaves
+# in PAULI_Y's real part, so the derived tables print no "-0.".
+_CANDIDATE_PAULIS = tuple(_frozen(p + 0.0) for p in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z))
 
 # Spanning inputs: fixing a qubit channel on these four states pins it to the
 # identity, so fidelity 1 on all of them certifies a correction.
@@ -224,45 +215,40 @@ _CORRECTION_FIDELITY_TOL = 1e-9
 
 def _uncorrected_branches(psi: QubitState, resource_index: int) -> list[np.ndarray]:
     """Post-measurement states (unnormalized corrections pending), one per outcome."""
-    projected, probabilities = _project(build_initial_state(psi, resource_index), _PROJECTORS)
+    # the projectors do not depend on the resource
+    projected, probabilities = _project(build_initial_state(psi, resource_index), kraus_set(1).projectors)
     return [m / p for m, p in zip(projected, probabilities)]
 
 
 @lru_cache(maxsize=None)
 def derive_corrections(resource_index: int) -> tuple[np.ndarray, ...]:
-    """Find each outcome's correction by exhaustive search over phased Paulis.
+    """Find each outcome's correction by exhaustive search over the Paulis.
 
-    Candidates are the 16 operators {phase * P} with phase in (1, i, -1, -i)
-    and P a Pauli or the identity; the first candidate (Pauli-major order)
-    restoring the input on factor 2 for every spanning state wins.
+    Candidates are the identity and the three Paulis, in that order; the
+    first restoring the input on factor 2 for every spanning state wins. A
+    global phase cancels in E rho E^dagger, so phased candidates would add
+    nothing.
     """
     resource_index = _check_resource_index(resource_index)
     branch_sets = [_uncorrected_branches(psi, resource_index) for psi in _SPANNING_STATES]
     found: list[np.ndarray] = []
     for outcome in range(4):
-        winner = None
-        for pauli in _CANDIDATE_PAULIS:
-            for phase in _CANDIDATE_PHASES:
-                candidate = phase * pauli
-                extended = kron(identity(4), candidate)
-                ok = True
-                for psi, branches in zip(_SPANNING_STATES, branch_sets):
-                    corrected = extended @ branches[outcome] @ dagger(extended)
-                    marginal = partial_trace(corrected, THREE_QUBITS, {2})
-                    overlap = fidelity_pure(psi.ket(), DensityMatrix(marginal))
-                    if overlap < 1.0 - _CORRECTION_FIDELITY_TOL:
-                        ok = False
-                        break
-                if ok:
-                    winner = candidate
-                    break
-            if winner is not None:
-                break
-        if winner is None:
-            raise RuntimeError(
-                f"no phased Pauli corrects outcome {outcome + 1} for resource {resource_index}"
+        for candidate in _CANDIDATE_PAULIS:
+            extended = kron(identity(4), candidate)
+            marginals = (
+                partial_trace(extended @ branches[outcome] @ dagger(extended), THREE_QUBITS, {2})
+                for branches in branch_sets
             )
-        found.append(_frozen(winner))
+            if all(
+                fidelity_pure(psi.ket(), DensityMatrix(m)) >= 1.0 - _CORRECTION_FIDELITY_TOL
+                for psi, m in zip(_SPANNING_STATES, marginals)
+            ):
+                found.append(candidate)
+                break
+        else:
+            raise RuntimeError(
+                f"no Pauli corrects outcome {outcome + 1} for resource {resource_index}"
+            )
     return tuple(found)
 
 
@@ -278,8 +264,7 @@ def correction_set(resource_index: int) -> tuple[np.ndarray, ...]:
 def kraus_set(resource_index: int = 1) -> KrausSet:
     """Measurement and correction operators for the chosen Bell resource."""
     resource_index = _check_resource_index(resource_index)
-    b_ops = tuple(_frozen(kron(identity(4), u)) for u in correction_set(resource_index))
-    return KrausSet(resource_index, _A_OPS, b_ops)
+    return KrausSet(resource_index, _A_OPS, [kron(identity(4), u) for u in correction_set(resource_index)])
 
 
 def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
@@ -287,7 +272,7 @@ def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
     # one batched product; the builtin sum adds the four terms in outcome order
-    return DensityMatrix(sum(ks.kraus_stack @ rho_in.matrix @ ks.kraus_dagger_stack))
+    return DensityMatrix(sum(ks.kraus @ rho_in.matrix @ ks.kraus.conj().transpose(0, 2, 1)))
 
 
 def _project(rho_in: DensityMatrix, projectors: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -300,7 +285,7 @@ def _project(rho_in: DensityMatrix, projectors: np.ndarray) -> tuple[np.ndarray,
 
 def _corrected_branch(ks: KrausSet, i: int, projected: np.ndarray, p: float) -> DensityMatrix:
     """Normalized post-state of outcome i + 1 after its correction B^(i+1)."""
-    return DensityMatrix(ks.b_ops[i] @ projected[i] @ ks.b_daggers[i] / p)
+    return DensityMatrix(ks.b_ops[i] @ projected[i] @ ks.b_ops[i].conj().T / p)
 
 
 def _shot(
@@ -312,7 +297,7 @@ def _shot(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    projected, probabilities = _project(rho_in, ks.projector_stack)
+    projected, probabilities = _project(rho_in, ks.projectors)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
         raise ValueError("all measurement branches have vanishing probability")
@@ -333,7 +318,7 @@ def measurement_branches(
     Outcomes with probability at or below MIN_BRANCH_PROBABILITY carry None
     instead of a normalized state.
     """
-    projected, probabilities = _project(rho_in, ks.projector_stack)
+    projected, probabilities = _project(rho_in, ks.projectors)
     return tuple(
         (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(ks, i, projected, p))
         for i, p in enumerate(probabilities)

@@ -98,11 +98,12 @@ def ket(amplitudes: object, renormalize: bool = False) -> Ket:
     """Build a Ket, optionally rescaling the amplitudes to unit norm."""
     amps = as_complex_array(amplitudes, "ket amplitudes")
     if renormalize:
-        # dividing by the largest modulus first keeps the squares in the norm from overflowing
+        # dividing by the largest modulus first keeps the squares in the norm from overflowing;
+        # the parts are divided one by one, since numpy's complex division by a subnormal overflows
         scale = float(abs(amps).max(initial=0.0))
         if scale == 0.0:
             raise ValueError("cannot renormalize the zero vector")
-        amps = amps / scale
+        amps = amps.real / scale + 1j * (amps.imag / scale)
         amps = amps / np.linalg.norm(amps)
     return Ket(amps)
 

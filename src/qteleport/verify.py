@@ -53,9 +53,9 @@ def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
     Breaks idempotence and completeness at once; used to prove the checks
     can fail.
     """
-    a0 = ks.a_ops[0].copy()
-    a0[0, 6] = -a0[0, 6] if a0[0, 6] != 0 else 1.0
-    return KrausSet(ks.resource_index, (a0,) + ks.a_ops[1:], ks.b_ops)
+    a = ks.a_ops.copy()
+    a[0, 0, 6] = -a[0, 0, 6] if a[0, 0, 6] != 0 else 1.0
+    return KrausSet(ks.resource_index, a, ks.b_ops)
 
 
 def _check_operator_tables(ks1: KrausSet) -> tuple[bool, str]:

@@ -227,6 +227,10 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.ones((2, 3)))
 
+    def test_rejects_the_empty_matrix_by_name(self):
+        with pytest.raises(ValueError, match="non-empty matrix, got shape \\(0, 0\\)"):
+            eig_hermitian(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_hermitian_reconstruction(self, seed):
         h = random_hermitian(np.random.default_rng(seed), 8)

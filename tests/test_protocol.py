@@ -190,6 +190,30 @@ class TestKrausSet:
         assert not np.array_equal(bad.kraus[0], ks.kraus[0])
         assert np.array_equal(bad.kraus[0], bad.b_ops[0] @ bad.a_ops[0] / 2.0)
 
+    def test_set_keeps_its_own_copy_of_the_operators(self):
+        good = kraus_set(2)
+        a, b = np.array(good.a_ops), [m.copy() for m in good.b_ops]
+        ks = KrausSet(2, a, b)
+        a[0, 0, 0] = b[1][0, 0] = 7.0
+        for name in ("a_ops", "b_ops", "projectors", "kraus"):
+            assert np.array_equal(getattr(ks, name), getattr(good, name))
+            with pytest.raises(ValueError):
+                getattr(ks, name)[0][0, 0] = 1.0
+
+    def test_rejects_other_than_four_8x8_operator_pairs(self):
+        ks = kraus_set(1)
+        with pytest.raises(ValueError, match="four 8x8"):
+            KrausSet(1, ks.a_ops[:3], ks.b_ops)
+        with pytest.raises(ValueError, match="four 8x8"):
+            KrausSet(1, ks.a_ops, ks.b_ops[:, :4, :4])
+
+    def test_corrupted_set_differs_in_one_entry(self):
+        ks = kraus_set(2)
+        bad = corrupted_for_negative_control(ks)
+        assert bad.a_ops.shape == (4, 8, 8)
+        assert np.argwhere(bad.a_ops != ks.a_ops).tolist() == [[0, 0, 6]]
+        assert np.array_equal(bad.b_ops, ks.b_ops)
+
     def test_weight_is_not_a_constructor_argument(self):
         ks = kraus_set(1)
         assert ks.weight == 0.25
@@ -607,22 +631,20 @@ class TestStackedPasses:
     def test_stacks_hold_the_instance_operators(self, resource, corrupted):
         ks = kraus_set(resource)
         ks = corrupted_for_negative_control(ks) if corrupted else ks
-        assert ks.projector_stack.shape == ks.kraus_stack.shape == ks.kraus_dagger_stack.shape == (4, 8, 8)
+        assert ks.a_ops.shape == ks.b_ops.shape == ks.projectors.shape == ks.kraus.shape == (4, 8, 8)
         for i, (a, b) in enumerate(zip(ks.a_ops, ks.b_ops)):
-            assert np.array_equal(ks.projector_stack[i], a / 2.0)
-            assert np.array_equal(ks.kraus_stack[i], b @ a / 2.0)
-            assert np.array_equal(ks.kraus_dagger_stack[i], dagger(b @ a / 2.0))
-            assert np.array_equal(ks.b_daggers[i], dagger(b))
+            assert np.array_equal(ks.projectors[i], a / 2.0)
+            assert np.array_equal(ks.kraus[i], b @ a / 2.0)
 
     @pytest.mark.parametrize("corrupted", [False, True], ids=["good", "corrupted"])
     def test_stacks_are_read_only(self, corrupted):
         ks = kraus_set(2)
         ks = corrupted_for_negative_control(ks) if corrupted else ks
-        for array in (ks.projector_stack, ks.kraus_stack, ks.kraus_dagger_stack, *ks.b_daggers):
+        for array in (ks.a_ops, ks.b_ops, ks.projectors, ks.kraus):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
         with pytest.raises(AttributeError):
-            ks.kraus_stack = ks.kraus_stack.copy()
+            ks.kraus = ks.kraus.copy()
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_channel_equals_the_per_operator_sum(self, resource):
@@ -646,7 +668,7 @@ class TestStackedPasses:
         ks = kraus_set(resource)
         ks = corrupted_for_negative_control(ks) if corrupted else ks
         for rho in _sample_states(resource):
-            projected, probabilities = _project(rho, ks.projector_stack)
+            projected, probabilities = _project(rho, ks.projectors)
             expected = [p @ rho.matrix @ p for p in ks.projectors]
             assert all(np.array_equal(m, e) for m, e in zip(projected, expected, strict=True))
             assert probabilities == tuple(float(np.trace(e).real) for e in expected)

@@ -59,8 +59,14 @@ class TestKet:
 
     @pytest.mark.parametrize(
         "amplitudes, expected",
-        [([3e200, 4e200], [0.6, 0.8]), ([3e-200, 4e-200j], [0.6, 0.8j]), ([1e308, -1e308j], [SQ, -1j * SQ])],
-        ids=["huge", "tiny", "near-max"],
+        [
+            ([3e200, 4e200], [0.6, 0.8]),
+            ([3e-200, 4e-200j], [0.6, 0.8j]),
+            ([1e308, -1e308j], [SQ, -1j * SQ]),
+            ([5e-324, 0], [1, 0]),
+            ([1e-310j, -1e-310], [1j * SQ, -SQ]),
+        ],
+        ids=["huge", "tiny", "near-max", "subnormal", "subnormal-complex"],
     )
     def test_renormalize_does_not_overflow_or_underflow(self, amplitudes, expected):
         # qubit_state already scales through hypot; ket must not square the raw moduli
