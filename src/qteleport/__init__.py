@@ -1,51 +1,8 @@
-"""Teleportation of one virtual qubit inside a single eight-level system."""
+"""Teleportation of one virtual qubit inside a single eight-level system.
 
-from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    approx_eq,
-    dagger,
-    eig_hermitian,
-    identity,
-    kron,
-    partial_trace,
-)
-from .protocol import (
-    BranchSummary,
-    KrausSet,
-    ProtocolReport,
-    SwapComparison,
-    THREE_QUBITS,
-    bell_basis,
-    build_initial_state,
-    compare_swap_vs_teleport,
-    correction_set,
-    derive_corrections,
-    kraus_set,
-    measurement_branches,
-    run_protocol,
-    single_shot,
-    swap_gate,
-    teleport_channel,
-)
-from .states import (
-    DensityMatrix,
-    Ket,
-    NotHermitian,
-    NotPositive,
-    QubitState,
-    StateValidationError,
-    TraceNotOne,
-    fidelity_pure,
-    ket,
-    ket_to_density,
-    purity,
-    qubit_state,
-    validate_density,
-    von_neumann_entropy,
-)
+The names in __all__ are bound on first use (PEP 562): importing the package,
+or the CLI before it has parsed its arguments, does not import numpy.
+"""
 
 __version__ = "0.1.0"
 
@@ -91,3 +48,19 @@ __all__ = [
     "validate_density",
     "von_neumann_entropy",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import linalg, protocol, states
+
+    # protocol and states re-export some names of the modules they import;
+    # binding the lower layers last takes each name from its home module
+    for module in (protocol, states, linalg):
+        globals().update((n, getattr(module, n)) for n in __all__ if hasattr(module, n))
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -3,32 +3,27 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .protocol import (
+from .base import (
+    DEFAULT_SWEEP_COUNT,
+    DEFAULT_TOL,
     ENSEMBLE,
     MODES,
     RESOURCE_INDICES,
-    SWAP_0_2,
-    bell_basis,
-    compare_swap_vs_teleport,
-    kraus_set,
-    run_protocol,
+    StateValidationError,
 )
-from .serialize import (
-    _number,
-    comparison_to_json,
-    dumps,
-    ket_to_json,
-    matrix_to_json,
-    report_to_json,
-    round_sig,
-)
-from .states import QubitState, StateValidationError, qubit_state
-from .verify import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, corrupted_for_negative_control, run_checks
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .states import QubitState
+
+# Parsing the arguments and reporting a usage error stay numpy-free: each
+# command imports the numeric modules once its input has been accepted.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,7 +48,7 @@ def parse_complex(text: str) -> complex:
         value = complex(cleaned)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex literal {text!r}") from exc
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise UsageError(f"amplitude {text!r} is not finite")
     return value
 
@@ -78,7 +73,7 @@ def _parse_tol(raw: str, source: str) -> float:
         tol = float(raw)
     except ValueError as exc:
         raise UsageError(f"{source} must be a number, got {raw!r}") from exc
-    if not (np.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise UsageError(f"{source} must be finite and positive, got {raw!r}")
     return tol
 
@@ -115,9 +110,11 @@ def _resolve_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
 
 def build_input_state(args: argparse.Namespace) -> QubitState:
     """The QubitState of the resolved args.alpha and args.beta."""
-    norm = float(np.hypot(abs(args.alpha), abs(args.beta)))
-    if not np.isfinite(norm):
+    parts = (args.alpha.real, args.alpha.imag, args.beta.real, args.beta.imag)
+    if not all(map(math.isfinite, parts)):
         raise UsageError("input amplitudes must be finite")
+    # inf when finite parts overflow it, which only --renormalize accepts
+    norm = math.hypot(*parts)
     if norm == 0.0:
         raise UsageError("input amplitudes are both zero")
     if abs(norm - 1.0) > CLI_NORM_TOL and not args.renormalize:
@@ -125,14 +122,20 @@ def build_input_state(args: argparse.Namespace) -> QubitState:
             f"input state norm {norm:.9f} deviates from 1 by more than {CLI_NORM_TOL}; "
             "pass --renormalize to rescale it"
         )
+    from .states import qubit_state
+
     return qubit_state(args.alpha, args.beta, renormalize=True)
 
 
 def _fmt_real(x: float) -> str:
+    from .serialize import _number
+
     return str(_number(x))
 
 
 def _fmt_complex(z: complex) -> str:
+    from .serialize import round_sig
+
     re, im = round_sig(z.real), round_sig(z.imag)
     if im == 0.0:
         return _fmt_real(re)
@@ -143,6 +146,8 @@ def _fmt_complex(z: complex) -> str:
 
 
 def format_matrix(m: np.ndarray, indent: str = "  ") -> str:
+    import numpy as np
+
     cells = [[_fmt_complex(z) for z in row] for row in np.atleast_2d(m)]
     width = max(len(c) for row in cells for c in row)
     return "\n".join(
@@ -160,6 +165,9 @@ def _print_err(text: str) -> None:
 
 def cmd_teleport(args: argparse.Namespace) -> int:
     psi = build_input_state(args)
+    from .protocol import run_protocol
+    from .serialize import dumps, report_to_json
+
     report = run_protocol(psi, args.resource_index, args.mode, args.seed)
     if args.output == "json":
         _print(dumps(report_to_json(report)))
@@ -189,6 +197,9 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 
 def cmd_swap_compare(args: argparse.Namespace) -> int:
     psi = build_input_state(args)
+    from .protocol import compare_swap_vs_teleport
+    from .serialize import comparison_to_json, dumps
+
     comparison = compare_swap_vs_teleport(psi)
     if args.output == "json":
         _print(dumps(comparison_to_json(comparison)))
@@ -214,6 +225,9 @@ def cmd_swap_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .serialize import dumps
+    from .verify import corrupted_for_negative_control, run_checks
+
     corrupt = corrupted_for_negative_control if args.inject_corruption else None
     results = run_checks(count=args.count, tol=args.tol, rng_seed=args.seed, corrupt_kraus=corrupt)
     if args.output == "json":
@@ -237,6 +251,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_tables(args: argparse.Namespace) -> int:
+    from .protocol import SWAP_0_2, bell_basis, kraus_set
+    from .serialize import dumps, ket_to_json, matrix_to_json
+
     ks = kraus_set(1)
     basis = bell_basis()
     if args.output == "json":

@@ -17,6 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .base import ENSEMBLE, MODES, RESOURCE_INDICES, SINGLE_SHOT
 from .linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -40,7 +41,6 @@ from .states import (
 )
 
 THREE_QUBITS = (2, 2, 2)
-RESOURCE_INDICES = (1, 2, 3, 4)
 
 # Branches thinner than this are treated as impossible when sampling.
 MIN_BRANCH_PROBABILITY = 1e-14
@@ -55,10 +55,6 @@ _BELL_PATTERNS = np.array(
     ],
     dtype=complex,
 )
-
-ENSEMBLE = "ensemble"
-SINGLE_SHOT = "single-shot"
-MODES = (ENSEMBLE, SINGLE_SHOT)
 
 
 @dataclass(frozen=True, eq=False)

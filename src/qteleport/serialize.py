@@ -67,8 +67,11 @@ def _complex_list(doc: object, key: str) -> list[complex]:
     for n, pair in enumerate(pairs):
         try:
             re, im = pair if isinstance(pair, list) else ()
+            # JSON numbers load as int or float; float() alone would also take strings and booleans
+            if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
+                raise TypeError("parts must be JSON numbers")
             out.append(complex(float(re), float(im)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{key}[{n}] must be a [re, im] pair of numbers, got {pair!r}") from exc
     return out
 

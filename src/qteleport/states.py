@@ -2,25 +2,16 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .base import StateValidationError
 from .linalg import TOL_HERM, as_complex_array, eig_hermitian
 
 TOL_NORM = 1e-9
 TOL_PSD = 1e-10
-
-
-class StateValidationError(ValueError):
-    """A matrix or amplitude vector fails a state invariant.
-
-    The measured size of the violation is stored on .violation.
-    """
-
-    def __init__(self, message: str, violation: float):
-        super().__init__(f"{message} (violation {violation:.3e})")
-        self.violation = violation
 
 
 class NotHermitian(StateValidationError):
@@ -67,6 +58,13 @@ class QubitState:
 def qubit_state(alpha: complex, beta: complex, renormalize: bool = False) -> QubitState:
     """Build a QubitState, optionally rescaling (alpha, beta) to unit norm."""
     if renormalize:
+        # the norm lies between the largest part and twice it
+        scale = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
+        if 0.0 < scale < sys.float_info.min or scale > sys.float_info.max / 2:
+            # the plain norm could be subnormal or overflow: divide by the largest part first,
+            # part by part as in ket; ordinary pairs skip this and keep their bits
+            alpha = complex(alpha.real / scale, alpha.imag / scale)
+            beta = complex(beta.real / scale, beta.imag / scale)
         norm = float(np.hypot(abs(alpha), abs(beta)))
         if norm == 0.0:
             raise ValueError("cannot renormalize the zero amplitude pair")

@@ -12,9 +12,9 @@ from typing import Callable
 
 import numpy as np
 
+from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
 from .linalg import approx_eq, dagger, identity, kron, partial_trace
 from .protocol import (
-    RESOURCE_INDICES,
     SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
@@ -35,9 +35,6 @@ from .states import (
     random_qubit_state,
     validate_density,
 )
-
-DEFAULT_SWEEP_COUNT = 1000
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

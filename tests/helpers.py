@@ -2,12 +2,21 @@
 
 Everything here is computed by a route the production code does not use:
 closed-form patterns transcribed by hand, numpy's eigensolver, or explicit
-Pauli algebra.
+Pauli algebra. run_python starts a fresh interpreter on this checkout's
+sources, for what only a new process shows: which modules an entry point
+imports.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+
+import qteleport
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,3 +79,11 @@ HAND_DERIVED_CORRECTIONS = {
 
 # The published correction tuple for resource 1 keeps the i*sigma_y phase.
 PUBLISHED_RESOURCE_1_CORRECTIONS = (I2, SX, SZ, 1j * SY)
+
+
+def run_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code *args`` with the tested qteleport importable."""
+    src = str(Path(qteleport.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path, **env})

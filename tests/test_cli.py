@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import run_python
 from qteleport.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -115,6 +116,29 @@ class TestTeleportCommand:
 
     def test_zero_state_rejected(self, capsys):
         assert main(["teleport", "--alpha", "0", "--beta", "0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "alpha,beta,expected",
+        [
+            ("5e-324", "5e-324i", [[0.707106781187, 0], [0, 0.707106781187]]),
+            ("1.5e308", "1.5e308", [[0.707106781187, 0], [0.707106781187, 0]]),
+        ],
+        ids=["subnormal", "overflowing-norm"],
+    )
+    def test_renormalize_accepts_finite_pairs_outside_the_normal_range(self, alpha, beta, expected, capsys):
+        code = main(["teleport", "--alpha", alpha, "--beta", beta, "--renormalize", "--output", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        doc = json.loads(captured.out)
+        assert [doc["input_state"]["alpha"], doc["input_state"]["beta"]] == expected
+        assert doc["fidelity"] == 1
+
+    def test_overflowing_norm_without_flag_asks_for_renormalize(self, capsys):
+        assert main(["teleport", "--alpha", "1.5e308", "--beta", "1.5e308"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: input state norm inf deviates from 1 by more than 1e-06; "
+            "pass --renormalize to rescale it\n"
+        )
 
     def test_non_finite_amplitudes_rejected(self, capsys):
         assert main(["teleport", "--alpha", "nan", "--beta", "0"]) == EXIT_USAGE
@@ -245,3 +269,63 @@ class TestDumpTablesCommand:
         for dumped, golden in zip(doc["b_ops"], B_OPS_REFERENCE):
             assert np.array_equal(matrix_from_json(dumped), golden)
         assert np.array_equal(matrix_from_json(doc["swap_1_3"]), SWAP_0_2_REFERENCE)
+
+
+# Runs the CLI as `python -m qteleport.cli` does, then reports on the last
+# line of stderr whether numpy was imported.
+_COLD_CLI = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write(f'numpy imported: {\"numpy\" in sys.modules}\\n'))\n"
+    "runpy.run_module('qteleport.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def _run_cold(*argv: str, **env: str) -> tuple[int, str, str, str]:
+    """(exit code, stdout, stderr, numpy-imported marker) of one CLI process."""
+    proc = run_python(_COLD_CLI, *argv, **env)
+    err, marker = proc.stderr.rsplit("numpy imported: ", 1)
+    return proc.returncode, proc.stdout, err, marker.strip()
+
+
+class TestColdStart:
+    """Parsing and usage errors never import numpy; each command does once it computes."""
+
+    @pytest.mark.parametrize("module", ["qteleport", "qteleport.cli"])
+    def test_import_does_not_load_numpy(self, module):
+        proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+    def test_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err, numpy_loaded = _run_cold("--help")
+        assert (code, out, err, numpy_loaded) == (EXIT_OK, build_parser().format_help(), "", "False")
+
+    def test_argparse_usage_error(self):
+        code, out, err, numpy_loaded = _run_cold("teleport", "--resource-index", "5")
+        assert (code, out, numpy_loaded) == (EXIT_USAGE, "", "False")
+        assert err.startswith("usage: qteleport teleport [-h]")
+        assert err.splitlines()[-1] == (
+            "qteleport teleport: error: argument --resource-index: invalid choice: 5 (choose from 1, 2, 3, 4)"
+        )
+
+    def test_state_usage_error(self):
+        assert _run_cold("teleport", "--alpha=0.6", "--beta=0.6") == (
+            EXIT_USAGE,
+            "",
+            "error: input state norm 0.848528137 deviates from 1 by more than 1e-06; "
+            "pass --renormalize to rescale it\n",
+            "False",
+        )
+
+    def test_tolerance_usage_error(self):
+        assert _run_cold("dump-tables", QTELEPORT_TOL="abc") == (
+            EXIT_USAGE,
+            "",
+            "error: QTELEPORT_TOL must be a number, got 'abc'\n",
+            "False",
+        )
+
+    def test_a_computing_command_loads_numpy(self):
+        code, out, err, numpy_loaded = _run_cold("teleport", "--alpha", "1", "--output", "json")
+        assert (code, err, numpy_loaded) == (EXIT_OK, "", "True")
+        assert json.loads(out)["fidelity"] == 1

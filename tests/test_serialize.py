@@ -64,6 +64,25 @@ class TestMatrixSchema:
         with pytest.raises(ValueError, match=message):
             matrix_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [["1", "0"], [True, False], [1, "0"], [10**400, 0]],
+        ids=["numeric-strings", "booleans", "one-string", "int-beyond-float"],
+    )
+    @pytest.mark.parametrize(
+        "load,doc",
+        [
+            (matrix_from_json, {"rows": 1, "cols": 1}),
+            (density_from_json, {"kind": "density", "rows": 1, "cols": 1}),
+            (ket_from_json, {"kind": "ket"}),
+        ],
+        ids=["matrix", "density", "ket"],
+    )
+    def test_parts_must_be_json_numbers(self, load, doc, pair):
+        key = "amplitudes" if load is ket_from_json else "entries"
+        with pytest.raises(ValueError, match=rf"{key}\[0\] must be a \[re, im\] pair of numbers"):
+            load({**doc, key: [pair]})
+
     def test_significant_digit_rounding(self):
         assert round_sig(1 / 3) == 0.333333333333
         assert round_sig(0.25) == 0.25

@@ -43,6 +43,26 @@ class TestQubitState:
         with pytest.raises(ValueError):
             qubit_state(0.0, 0.0, renormalize=True)
 
+    @pytest.mark.parametrize(
+        "alpha, beta, expected",
+        [
+            (5e-324, 5e-324j, (SQ, 1j * SQ)),
+            (1e-310j, -1e-310, (1j * SQ, -SQ)),
+            (1.5e308, 1.5e308, (SQ, SQ)),
+            (1.5e308 + 1.5e308j, 0.0, ((1 + 1j) * SQ, 0.0)),
+        ],
+        ids=["subnormal", "subnormal-complex", "overflowing-norm", "overflowing-modulus"],
+    )
+    def test_renormalize_rescales_pairs_outside_the_normal_range(self, alpha, beta, expected):
+        psi = qubit_state(alpha, beta, renormalize=True)
+        assert np.allclose([psi.alpha, psi.beta], expected, atol=1e-15)
+
+    def test_renormalize_divides_ordinary_pairs_by_the_plain_norm(self):
+        alpha, beta = 0.3 + 0.4j, 0.5 - 0.7j
+        norm = np.hypot(abs(alpha), abs(beta))
+        psi = qubit_state(alpha, beta, renormalize=True)
+        assert (psi.alpha, psi.beta) == (alpha / norm, beta / norm)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             QubitState(np.inf, 0.0)
