@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import prod
+from math import isfinite, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,8 +25,11 @@ def identity(dim: int) -> np.ndarray:
 
 
 def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
-    """Coerce to a complex ndarray, rejecting NaN/Inf entries."""
-    arr = np.asarray(a, dtype=complex)
+    """Coerce to a complex ndarray, rejecting ragged or non-numeric input and NaN/Inf entries."""
+    try:
+        arr = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be a regular array of numbers") from exc
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -54,7 +57,9 @@ def kron(*factors: np.ndarray) -> np.ndarray:
 
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
-    """True iff the max entrywise modulus difference is <= tol."""
+    """True iff the max entrywise modulus difference is <= tol, a finite tolerance >= 0."""
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:

@@ -264,7 +264,10 @@ def kraus_set(resource_index: int = 1) -> KrausSet:
 
 
 def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
-    """Ensemble output: sum_i K_i rho K_i-dagger with K_i = B^i A^i / 2."""
+    """Ensemble output: sum_i K_i rho K_i-dagger with K_i = B^i A^i / 2.
+
+    rho_in is not checked for positivity (see DensityMatrix): a non-PSD input gives a non-PSD output.
+    """
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
     # one batched product; the builtin sum adds the four terms in outcome order

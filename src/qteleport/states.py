@@ -26,10 +26,34 @@ class TraceNotOne(StateValidationError):
     pass
 
 
-def _frozen_complex(a: object, name: str) -> np.ndarray:
-    arr = as_complex_array(a, name).copy()
-    arr.setflags(write=False)
-    return arr
+def _unit_amplitudes(values: object, name: str, renormalize: bool = False) -> np.ndarray:
+    """The amplitudes as a read-only finite non-empty complex vector, renormalized or checked to unit norm."""
+    v = as_complex_array(values, name).copy()
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must form a non-empty vector, got shape {v.shape}")
+    # the parts are divided one by one: numpy's complex-by-real division multiplies by a reciprocal
+    parts = v.view(float)
+    # the norm lies between the largest part and sqrt(2n) times it; outside these bounds it could
+    # be subnormal or overflow, so the parts are divided by the largest first
+    scale = max(map(abs, parts.tolist()))
+    if 0.0 < scale < sys.float_info.min or scale > sys.float_info.max / parts.size ** 0.5:
+        parts /= scale
+    else:
+        scale = 1.0
+    # a hypot over the moduli squares no modulus; Python's abs(complex) rounds as np.hypot of the parts
+    # does and np.abs does not, and on vectors this short Python scalars are cheaper than numpy calls
+    norm = float(np.hypot.reduce([abs(z) for z in v.tolist()]))
+    if renormalize:
+        if norm == 0.0:
+            raise ValueError(f"cannot renormalize zero {name}")
+        parts /= norm
+    else:
+        # Python floats: a norm past the largest double squares to inf, not to an error
+        deviation = abs(scale * norm * scale * norm - 1.0)
+        if deviation > TOL_NORM:
+            raise StateValidationError(f"{name} are not normalized", deviation)
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +64,7 @@ class QubitState:
     beta: complex
 
     def __post_init__(self) -> None:
-        alpha = complex(self.alpha)
-        beta = complex(self.beta)
-        for z in (alpha, beta):
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-                raise ValueError("qubit amplitudes must be finite")
-        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
-        if abs(norm_sq - 1.0) > TOL_NORM:
-            raise StateValidationError("qubit state is not normalized", abs(norm_sq - 1.0))
+        alpha, beta = _unit_amplitudes((self.alpha, self.beta), "qubit amplitudes").tolist()
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -57,19 +74,7 @@ class QubitState:
 
 def qubit_state(alpha: complex, beta: complex, renormalize: bool = False) -> QubitState:
     """Build a QubitState, optionally rescaling (alpha, beta) to unit norm."""
-    if renormalize:
-        # the norm lies between the largest part and twice it
-        scale = max(abs(alpha.real), abs(alpha.imag), abs(beta.real), abs(beta.imag))
-        if 0.0 < scale < sys.float_info.min or scale > sys.float_info.max / 2:
-            # the plain norm could be subnormal or overflow: divide by the largest part first,
-            # part by part as in ket; ordinary pairs skip this and keep their bits
-            alpha = complex(alpha.real / scale, alpha.imag / scale)
-            beta = complex(beta.real / scale, beta.imag / scale)
-        norm = float(np.hypot(abs(alpha), abs(beta)))
-        if norm == 0.0:
-            raise ValueError("cannot renormalize the zero amplitude pair")
-        alpha, beta = alpha / norm, beta / norm
-    return QubitState(alpha, beta)
+    return QubitState(*_unit_amplitudes((alpha, beta), "qubit amplitudes", renormalize).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,13 +84,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _frozen_complex(self.amplitudes, "ket amplitudes")
-        if amps.ndim != 1 or amps.size == 0:
-            raise ValueError(f"ket amplitudes must form a non-empty vector, got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TOL_NORM:
-            raise StateValidationError("ket is not normalized", abs(norm - 1.0))
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _unit_amplitudes(self.amplitudes, "ket amplitudes"))
 
     @property
     def dim(self) -> int:
@@ -94,30 +93,21 @@ class Ket:
 
 def ket(amplitudes: object, renormalize: bool = False) -> Ket:
     """Build a Ket, optionally rescaling the amplitudes to unit norm."""
-    amps = as_complex_array(amplitudes, "ket amplitudes")
-    if renormalize:
-        # dividing by the largest modulus first keeps the squares in the norm from overflowing;
-        # the parts are divided one by one, since numpy's complex division by a subnormal overflows
-        scale = float(abs(amps).max(initial=0.0))
-        if scale == 0.0:
-            raise ValueError("cannot renormalize the zero vector")
-        amps = amps.real / scale + 1j * (amps.imag / scale)
-        amps = amps / np.linalg.norm(amps)
-    return Ket(amps)
+    return Ket(_unit_amplitudes(amplitudes, "ket amplitudes", renormalize))
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian unit-trace operator.
 
-    Construction checks Hermiticity and trace; positivity is certified by
-    validate_density, which internal channel code guarantees by construction.
+    Construction certifies Hermiticity and unit trace only, not positivity;
+    validate_density and density_from_json certify it too (CPTP channels keep it).
     """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _frozen_complex(self.matrix, "density matrix")
+        m = as_complex_array(self.matrix, "density matrix").copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got shape {m.shape}")
         if m.size == 0:
@@ -128,6 +118,7 @@ class DensityMatrix:
         trace_dev = abs(complex(m.trace()) - 1.0)
         if trace_dev > TOL_NORM:
             raise TraceNotOne("density matrix trace differs from 1", trace_dev)
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

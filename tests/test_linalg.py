@@ -281,3 +281,8 @@ class TestApproxEq:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             approx_eq(IDENTITY_2, identity(3))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")], ids=["nan", "negative", "inf"])
+    def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be finite and >= 0"):
+            approx_eq(IDENTITY_2, IDENTITY_2, tol)

@@ -4,6 +4,7 @@ and the text and JSON formats over arbitrary finite numbers."""
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -22,7 +23,7 @@ from qteleport.serialize import (
     report_to_json,
     round_sig,
 )
-from qteleport.states import QubitState, ket, ket_to_density, random_density, random_qubit_state
+from qteleport.states import QubitState, ket, ket_to_density, qubit_state, random_density, random_qubit_state
 
 SEEDS = st.integers(0, 2**32 - 1)
 RESOURCES = st.sampled_from(RESOURCE_INDICES)
@@ -66,8 +67,10 @@ def test_reports_are_byte_identical_per_seed(seed, resource, mode, shot_seed):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 UNIT = st.floats(-1.0, 1.0)
+# finite parts of every size, subnormal and near 1e308 included
+FINITE_COMPLEX = st.builds(complex, FINITE, FINITE)
 MATRICES = arrays(
-    np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=4), elements=st.builds(complex, FINITE, FINITE)
+    np.complex128, array_shapes(min_dims=2, max_dims=2, max_side=4), elements=FINITE_COMPLEX
 )
 KETS = (
     st.integers(1, 8)
@@ -123,3 +126,15 @@ def test_density_documents_round_trip(rho):
     back = density_from_json(doc)
     assert_within_rounding(back.matrix, rho.matrix)
     assert density_to_json(back) == doc
+
+
+@PROPERTY_SETTINGS
+@given(FINITE_COMPLEX, FINITE_COMPLEX)
+def test_every_finite_pair_renormalizes(alpha, beta):
+    # pytest turns warnings into errors, so an overflow warning fails here too
+    if alpha == 0 and beta == 0:
+        with pytest.raises(ValueError, match="^cannot renormalize"):
+            qubit_state(alpha, beta, renormalize=True)
+        return
+    psi = qubit_state(alpha, beta, renormalize=True)
+    assert abs(abs(psi.alpha) ** 2 + abs(psi.beta) ** 2 - 1.0) <= 1e-15

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import haar_qubit_amplitudes, random_hermitian
 from qteleport.linalg import PAULI_X, eig_hermitian, identity, kron, partial_trace
+from qteleport.serialize import density_from_json, density_to_json
 from qteleport.states import (
     DensityMatrix,
     Ket,
@@ -67,11 +68,22 @@ class TestQubitState:
         with pytest.raises(ValueError):
             QubitState(np.inf, 0.0)
 
+    def test_renormalize_coerces_like_the_constructor(self):
+        psi, expected = qubit_state("0.6", 0.8, renormalize=True), QubitState("0.6", 0.8)
+        assert (psi.alpha, psi.beta) == (expected.alpha, expected.beta)
+
 
 class TestKet:
     def test_rejects_unnormalized(self):
         with pytest.raises(StateValidationError):
             Ket(np.array([1.0, 1.0]))
+
+    def test_checks_the_squared_norm_as_qubit_state_does(self):
+        # the norm misses 1 by 7e-10, within TOL_NORM, but its square by 1.4e-9
+        for build in (lambda: Ket(np.array([1 + 7e-10, 0])), lambda: QubitState(1 + 7e-10, 0)):
+            with pytest.raises(StateValidationError) as excinfo:
+                build()
+            assert excinfo.value.violation == pytest.approx(1.4e-9, rel=1e-6)
 
     def test_renormalize_flag(self):
         k = ket([3.0, 4.0], renormalize=True)
@@ -96,6 +108,40 @@ class TestKet:
         k = ket([1.0, 0.0])
         with pytest.raises(ValueError):
             k.amplitudes[0] = 2.0
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: QubitState(1e200, 0), StateValidationError),
+        (lambda: QubitState(1.5e308 + 1.5e308j, 0), StateValidationError),
+        (lambda: QubitState(1.5e308, 1.5e308), StateValidationError),
+        (lambda: Ket(np.array([1e200, 0])), StateValidationError),
+        (lambda: Ket(np.array([1.5e308, 1.5e308])), StateValidationError),
+        (lambda: QubitState(None, 1), ValueError),
+        (lambda: QubitState([1, 0], 0), ValueError),
+        (lambda: QubitState(object(), 1), ValueError),
+    ],
+    ids=[
+        "huge-modulus", "overflowing-modulus", "overflowing-norm", "ket-huge-modulus", "ket-overflowing-norm",
+        "none", "nested", "object",
+    ],
+)
+def test_bad_amplitudes_raise_value_errors_without_warnings(build, error):
+    # pytest turns warnings into errors, so an overflow warning fails here too
+    with pytest.raises(error):
+        build()
+
+
+def test_renormalized_pairs_match_renormalized_kets_bit_for_bit():
+    rng = np.random.default_rng(9)
+    parts = rng.standard_normal((2000, 4)) * 10.0 ** rng.integers(-320, 306, (2000, 4))
+    parts[::7, rng.integers(0, 4)] = 0.0
+    for re_a, im_a, re_b, im_b in parts:
+        alpha, beta = complex(re_a, im_a), complex(re_b, im_b)
+        psi = qubit_state(alpha, beta, renormalize=True)
+        amplitudes = ket([alpha, beta], renormalize=True).amplitudes
+        assert np.array([psi.alpha, psi.beta]).tobytes() == amplitudes.tobytes()
 
 
 class TestKetToDensity:
@@ -229,6 +275,15 @@ class TestValidateDensity:
         with pytest.raises(NotHermitian):
             validate_density(m)
 
+    def test_loaders_certify_what_the_constructor_does_not(self):
+        # DensityMatrix checks Hermiticity and trace only; positivity is certified on loading
+        m = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+        doc = density_to_json(DensityMatrix(m))
+        for load in (lambda: validate_density(m), lambda: density_from_json(doc)):
+            with pytest.raises(NotPositive) as excinfo:
+                load()
+            assert excinfo.value.violation == pytest.approx(0.5)
+
     def test_accepts_projectors_from_random_kets(self):
         # 1000 random kets across dimensions, all must validate
         rng = np.random.default_rng(2024)
@@ -266,6 +321,7 @@ class TestDensityMatrixType:
 
 
 NON_FINITE_ENTRY_CASES = [
+    (lambda x: QubitState(x, 1), "qubit amplitudes"),
     (lambda x: DensityMatrix(np.array([[x, 0], [0, 1]])), "density matrix"),
     (lambda x: Ket(np.array([x, 1])), "ket amplitudes"),
     (lambda x: kron(identity(2), np.array([[x, 0], [0, 1]])), "kron factor"),
@@ -277,7 +333,7 @@ NON_FINITE_ENTRY_CASES = [
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "build, name", NON_FINITE_ENTRY_CASES,
-    ids=["density-matrix", "ket", "kron", "partial-trace", "eig-hermitian"],
+    ids=["qubit-state", "density-matrix", "ket", "kron", "partial-trace", "eig-hermitian"],
 )
 def test_non_finite_entries_raise_the_same_message(build, name, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} contains non-finite entries$"):
