@@ -134,15 +134,15 @@ def _fmt_real(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    from .serialize import round_sig
+    from .serialize import _number
 
-    re, im = round_sig(z.real), round_sig(z.imag)
-    if im == 0.0:
-        return _fmt_real(re)
-    imag = _fmt_real(abs(im)) + "i"
-    if re == 0.0:
+    re, im = _number(z.real), _number(z.imag)
+    if im == 0:
+        return str(re)
+    imag = f"{abs(im)}i"
+    if re == 0:
         return ("-" if im < 0 else "") + imag
-    return f"{_fmt_real(re)}{'+' if im > 0 else '-'}{imag}"
+    return f"{re}{'+' if im > 0 else '-'}{imag}"
 
 
 def format_matrix(m: np.ndarray, indent: str = "  ") -> str:

@@ -31,6 +31,9 @@ def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a regular array of numbers") from exc
     if not np.isfinite(arr).all():
+        # numpy reads None as NaN; told apart only here, off the path of valid input
+        if any(x is None for x in np.asarray(a, dtype=object).flat):
+            raise ValueError(f"{name} must be a regular array of numbers")
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -28,7 +28,6 @@ from .linalg import (
     dagger,
     identity,
     kron,
-    partial_trace,
 )
 from .states import (
     DensityMatrix,
@@ -197,48 +196,26 @@ _RESOURCE_1_CORRECTIONS = tuple(
 # in PAULI_Y's real part, so the derived tables print no "-0.".
 _CANDIDATE_PAULIS = tuple(_frozen(p + 0.0) for p in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z))
 
-# Spanning inputs: fixing a qubit channel on these four states pins it to the
-# identity, so fidelity 1 on all of them certifies a correction.
-_SPANNING_STATES = (
-    QubitState(1, 0),
-    QubitState(0, 1),
-    QubitState(2 ** -0.5, 2 ** -0.5),
-    QubitState(2 ** -0.5, 1j * 2 ** -0.5),
-)
-
-_CORRECTION_FIDELITY_TOL = 1e-9
-
-
-def _uncorrected_branches(psi: QubitState, resource_index: int) -> list[np.ndarray]:
-    """Post-measurement states (unnormalized corrections pending), one per outcome."""
-    # the projectors do not depend on the resource
-    projected, probabilities = _project(build_initial_state(psi, resource_index), kraus_set(1).projectors)
-    return [m / p for m, p in zip(projected, probabilities)]
-
-
 @lru_cache(maxsize=None)
 def derive_corrections(resource_index: int) -> tuple[np.ndarray, ...]:
     """Find each outcome's correction by exhaustive search over the Paulis.
 
-    Candidates are the identity and the three Paulis, in that order; the
-    first restoring the input on factor 2 for every spanning state wins. A
-    global phase cancels in E rho E^dagger, so phased candidates would add
-    nothing.
+    Bell outcome i on resource j leaves M |psi> / 2 on factor 2, with the
+    byproduct operator M = (conj(b_i) @ b_j)^T of the Bell patterns read as
+    2x2 tables b (Bennett et al., PRL 70, 1895, 1993). Candidates are the
+    identity and the three Paulis, in that order; the first E for which
+    E @ M is a nonzero multiple of the identity wins. Every entry is a
+    small integer, so the test is exact. A global phase cancels in
+    E rho E^dagger, so phased candidates would add nothing.
     """
     resource_index = _check_resource_index(resource_index)
-    branch_sets = [_uncorrected_branches(psi, resource_index) for psi in _SPANNING_STATES]
+    b = _BELL_PATTERNS.reshape(4, 2, 2)
     found: list[np.ndarray] = []
     for outcome in range(4):
+        byproduct = (b[outcome].conj() @ b[resource_index - 1]).T
         for candidate in _CANDIDATE_PAULIS:
-            extended = kron(identity(4), candidate)
-            marginals = (
-                partial_trace(extended @ branches[outcome] @ dagger(extended), THREE_QUBITS, {2})
-                for branches in branch_sets
-            )
-            if all(
-                fidelity_pure(psi.ket(), DensityMatrix(m)) >= 1.0 - _CORRECTION_FIDELITY_TOL
-                for psi, m in zip(_SPANNING_STATES, marginals)
-            ):
+            (d0, off0), (off1, d1) = (candidate @ byproduct).tolist()
+            if d0 == d1 != 0 and off0 == off1 == 0:
                 found.append(candidate)
                 break
         else:

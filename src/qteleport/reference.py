@@ -1,7 +1,8 @@
 """Hand-transcribed golden copies of the eight-level channel operators.
 
-The verification suite compares these frozen integer matrices against the
-programmatically constructed operators; the two routes share no code.
+The verification suite compares these frozen matrices against the
+programmatically constructed operators and the derived correction tables;
+the two routes share no code.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def _frozen(rows: list[list[int]]) -> np.ndarray:
+def _frozen(rows: list[list[complex]]) -> np.ndarray:
     m = np.array(rows, dtype=complex)
     m.setflags(write=False)
     return m
@@ -132,3 +133,17 @@ SWAP_0_2_REFERENCE = _frozen(
         [0, 0, 0, 0, 0, 0, 0, 1],
     ]
 )
+
+_I = _frozen([[1, 0], [0, 1]])
+_X = _frozen([[0, 1], [1, 0]])
+_Y = _frozen([[0, -1j], [1j, 0]])
+_Z = _frozen([[1, 0], [0, -1]])
+
+# Phase-free correction on the third virtual qubit per resource j and outcome i:
+# CORRECTIONS_REFERENCE[j][i - 1], worked out by hand from the Bell-ladder algebra.
+CORRECTIONS_REFERENCE = {
+    1: (_I, _X, _Z, _Y),
+    2: (_X, _I, _Y, _Z),
+    3: (_Z, _Y, _I, _X),
+    4: (_Y, _Z, _X, _I),
+}

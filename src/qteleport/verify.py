@@ -26,7 +26,7 @@ from .protocol import (
     measurement_branches,
     teleport_channel,
 )
-from .reference import A_OPS_REFERENCE, B_OPS_REFERENCE, SWAP_0_2_REFERENCE
+from .reference import A_OPS_REFERENCE, B_OPS_REFERENCE, CORRECTIONS_REFERENCE, SWAP_0_2_REFERENCE
 from .states import (
     DensityMatrix,
     fidelity_pure,
@@ -115,6 +115,9 @@ def _check_swap_matrix() -> tuple[bool, str]:
 
 def _check_correction_search() -> tuple[bool, str]:
     for j in RESOURCE_INDICES:
+        for i, (d, h) in enumerate(zip(derive_corrections(j), CORRECTIONS_REFERENCE[j]), start=1):
+            if not np.array_equal(d, h):
+                return False, f"resource {j} outcome {i}: derived correction differs from the hand-derived table"
         for i, (d, p) in enumerate(zip(derive_corrections(j), correction_set(j)), start=1):
             overlap = dagger(d) @ p
             # equal up to a global phase iff U_d^dag U_p is a phase times identity

@@ -17,6 +17,7 @@ from qteleport.protocol import (
     SINGLE_SHOT,
     SWAP_0_2,
     THREE_QUBITS,
+    _CANDIDATE_PAULIS,
     KrausSet,
     _marginals,
     _project,
@@ -45,7 +46,7 @@ from qteleport.states import (
     validate_density,
     von_neumann_entropy,
 )
-from qteleport.verify import corrupted_for_negative_control
+from qteleport.verify import CheckResult, corrupted_for_negative_control, run_checks
 
 SQ = 2 ** -0.5
 
@@ -374,6 +375,16 @@ class TestSingleShot:
         assert np.max(np.abs(counts / 2000 - 0.25)) < 0.05
 
 
+@pytest.fixture
+def cold_caches():
+    """Empty the correction and Kraus-set caches around a test that patches the search."""
+    derive_corrections.cache_clear()
+    kraus_set.cache_clear()
+    yield
+    derive_corrections.cache_clear()
+    kraus_set.cache_clear()
+
+
 class TestCorrections:
     def test_resource_1_search_matches_published_up_to_phase(self):
         derived = derive_corrections(1)
@@ -387,6 +398,43 @@ class TestCorrections:
         assert type(derived) is tuple and len(derived) == 4
         for found, expected in zip(derived, HAND_DERIVED_CORRECTIONS[resource]):
             assert np.array_equal(found, expected)
+
+    def test_search_picks_candidates_without_building_states(self, cold_caches, monkeypatch):
+        def fail(self):
+            raise AssertionError(f"the search built a {type(self).__name__}")
+
+        for cls in (DensityMatrix, QubitState, KrausSet):
+            monkeypatch.setattr(cls, "__post_init__", fail)
+        for resource in RESOURCE_INDICES:
+            # the winners are the candidate objects themselves, so the tables print unchanged
+            assert all(any(found is c for c in _CANDIDATE_PAULIS) for found in derive_corrections(resource))
+
+    @pytest.mark.parametrize("resource, outcome", [(1, 3), (2, 4), (3, 1), (4, 2)])
+    def test_search_names_the_outcome_no_candidate_corrects(self, resource, outcome, cold_caches, monkeypatch):
+        # without sigma_z, the first outcome whose correction is sigma_z has no candidate left
+        monkeypatch.setattr("qteleport.protocol._CANDIDATE_PAULIS", _CANDIDATE_PAULIS[:3])
+        message = f"^no Pauli corrects outcome {outcome} for resource {resource}$"
+        with pytest.raises(RuntimeError, match=message):
+            derive_corrections(resource)
+        if resource != 1:
+            with pytest.raises(RuntimeError, match=message):
+                kraus_set(resource)
+
+    def test_verify_checks_each_derived_table_against_the_hand_derived_one(self, cold_caches, monkeypatch):
+        search = derive_corrections
+
+        def wrong_for_resource_3(resource):
+            return search(resource)[::-1] if resource == 3 else search(resource)
+
+        # production reads the same wrong table, so comparing the two alone would pass
+        monkeypatch.setattr("qteleport.protocol.derive_corrections", wrong_for_resource_3)
+        monkeypatch.setattr("qteleport.verify.derive_corrections", wrong_for_resource_3)
+        results = {r.name: r for r in run_checks(count=8)}
+        assert results["correction_search"] == CheckResult(
+            "correction_search", False,
+            "resource 3 outcome 1: derived correction differs from the hand-derived table",
+        )
+        assert not results["random_state_fidelity"].passed
 
     def test_production_set_for_resource_1_is_published_exactly(self):
         production = correction_set(1)

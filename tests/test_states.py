@@ -338,3 +338,13 @@ NON_FINITE_ENTRY_CASES = [
 def test_non_finite_entries_raise_the_same_message(build, name, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} contains non-finite entries$"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "build, name", NON_FINITE_ENTRY_CASES,
+    ids=["qubit-state", "density-matrix", "ket", "kron", "partial-trace", "eig-hermitian"],
+)
+def test_none_entries_are_named_as_non_numbers(build, name):
+    # numpy reads None as NaN, which must not be reported as a non-finite number
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a regular array of numbers$"):
+        build(None)
