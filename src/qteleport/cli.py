@@ -6,7 +6,7 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from .base import (
     DEFAULT_SWEEP_COUNT,
@@ -18,12 +18,10 @@ from .base import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .states import QubitState
 
-# Parsing the arguments and reporting a usage error stay numpy-free: each
-# command imports the numeric modules once its input has been accepted.
+# Parsing the arguments and reporting a usage error import no numeric module:
+# each command imports them once its input has been accepted.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -127,16 +125,9 @@ def build_input_state(args: argparse.Namespace) -> QubitState:
     return qubit_state(args.alpha, args.beta, renormalize=True)
 
 
-def _fmt_real(x: float) -> str:
-    from .serialize import _number
-
-    return str(_number(x))
-
-
-def _fmt_complex(z: complex) -> str:
-    from .serialize import _number
-
-    re, im = _number(z.real), _number(z.imag)
+def _fmt_pair(pair: list[float | int]) -> str:
+    """An [re, im] pair of a document, already rounded, as a complex literal."""
+    re, im = pair
     if im == 0:
         return str(re)
     imag = f"{abs(im)}i"
@@ -145,13 +136,14 @@ def _fmt_complex(z: complex) -> str:
     return f"{re}{'+' if im > 0 else '-'}{imag}"
 
 
-def format_matrix(m: np.ndarray, indent: str = "  ") -> str:
-    import numpy as np
-
-    cells = [[_fmt_complex(z) for z in row] for row in np.atleast_2d(m)]
-    width = max(len(c) for row in cells for c in row)
+def format_matrix(doc: dict[str, Any]) -> str:
+    """The entries of a matrix document, one bracketed row of cols cells per line."""
+    cells = [_fmt_pair(pair) for pair in doc["entries"]]
+    width = max(map(len, cells))
+    cols = doc["cols"]
     return "\n".join(
-        indent + "[" + " ".join(c.rjust(width) for c in row) + "]" for row in cells
+        "  [" + " ".join(c.rjust(width) for c in cells[r : r + cols]) + "]"
+        for r in range(0, len(cells), cols)
     )
 
 
@@ -163,32 +155,35 @@ def _print_err(text: str) -> None:
     sys.stderr.write(text + "\n")
 
 
+def _fmt_input(doc: dict[str, Any]) -> str:
+    return f"input state: alpha = {_fmt_pair(doc['alpha'])}, beta = {_fmt_pair(doc['beta'])}"
+
+
 def cmd_teleport(args: argparse.Namespace) -> int:
     psi = build_input_state(args)
     from .protocol import run_protocol
     from .serialize import dumps, report_to_json
 
     report = run_protocol(psi, args.resource_index, args.mode, args.seed)
+    doc = report_to_json(report)
     if args.output == "json":
-        _print(dumps(report_to_json(report)))
+        _print(dumps(doc))
     else:
-        _print(f"mode: {report.mode}")
-        _print(f"seed: {report.seed}")
-        _print(f"resource index: {report.resource_index}")
-        _print(f"extends the canonical resource-1 setup: {'yes' if report.paper_extension else 'no'}")
-        _print(f"input state: alpha = {_fmt_complex(psi.alpha)}, beta = {_fmt_complex(psi.beta)}")
-        outcome = "-" if report.outcome is None else str(report.outcome)
-        _print(f"measurement outcome: {outcome}")
-        probs = ", ".join(_fmt_real(p) for p in report.outcome_probabilities)
-        _print(f"outcome probabilities: {probs}")
-        _print(f"fidelity of subsystem-3 marginal vs input: {_fmt_real(report.fidelity)}")
-        _print(f"output entropy: {_fmt_real(report.output_entropy_bits)} bits")
+        _print(f"mode: {doc['mode']}")
+        _print(f"seed: {doc['seed']}")
+        _print(f"resource index: {doc['resource_index']}")
+        _print(f"extends the canonical resource-1 setup: {'yes' if doc['paper_extension'] else 'no'}")
+        _print(_fmt_input(doc["input_state"]))
+        _print(f"measurement outcome: {'-' if doc['outcome'] is None else doc['outcome']}")
+        _print(f"outcome probabilities: {', '.join(map(str, doc['outcome_probabilities']))}")
+        _print(f"fidelity of subsystem-3 marginal vs input: {doc['fidelity']}")
+        _print(f"output entropy: {doc['output_entropy_bits']} bits")
         _print("marginal on subsystem 3:")
-        _print(format_matrix(report.marginal_3.matrix))
+        _print(format_matrix(doc["marginal_3"]))
         _print("marginal on subsystems 1,2:")
-        _print(format_matrix(report.marginal_12.matrix))
+        _print(format_matrix(doc["marginal_12"]))
         _print("full output state:")
-        _print(format_matrix(report.output_density.matrix))
+        _print(format_matrix(doc["output_density"]))
     if report.fidelity >= 1.0 - args.tol:
         return EXIT_OK
     _print_err(f"fidelity {report.fidelity!r} fell below 1 - {args.tol!r}")
@@ -201,19 +196,19 @@ def cmd_swap_compare(args: argparse.Namespace) -> int:
     from .serialize import comparison_to_json, dumps
 
     comparison = compare_swap_vs_teleport(psi)
+    doc = comparison_to_json(comparison)
     if args.output == "json":
-        _print(dumps(comparison_to_json(comparison)))
+        _print(dumps(doc))
     else:
-        _print(f"input state: alpha = {_fmt_complex(psi.alpha)}, beta = {_fmt_complex(psi.beta)}")
-        for branch in (comparison.teleport, comparison.swap):
-            _print(f"[{branch.label}]")
-            _print(f"  consumes a Bell resource: {'yes' if branch.requires_bell_resource else 'no'}")
-            _print(f"  marginal 1,2: purity {_fmt_real(branch.purity_12)}, "
-                   f"entropy {_fmt_real(branch.entropy_12_bits)} bits")
-            _print(f"  marginal 3: purity {_fmt_real(branch.purity_3)}, "
-                   f"entropy {_fmt_real(branch.entropy_3_bits)} bits, "
-                   f"fidelity vs input {_fmt_real(branch.fidelity_3)}")
-            _print(format_matrix(branch.marginal_12.matrix))
+        _print(_fmt_input(doc["input_state"]))
+        for label in ("teleport", "swap"):
+            branch = doc[label]
+            _print(f"[{label}]")
+            _print(f"  consumes a Bell resource: {'yes' if branch['requires_bell_resource'] else 'no'}")
+            _print(f"  marginal 1,2: purity {branch['purity_12']}, entropy {branch['entropy_12_bits']} bits")
+            _print(f"  marginal 3: purity {branch['purity_3']}, entropy {branch['entropy_3_bits']} bits, "
+                   f"fidelity vs input {branch['fidelity_3']}")
+            _print(format_matrix(branch["marginal_12"]))
     ok = (
         abs(comparison.teleport.entropy_12_bits - 2.0) <= args.tol
         and abs(comparison.swap.entropy_12_bits) <= args.tol
@@ -230,19 +225,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     corrupt = corrupted_for_negative_control if args.inject_corruption else None
     results = run_checks(count=args.count, tol=args.tol, rng_seed=args.seed, corrupt_kraus=corrupt)
+    doc = {
+        "count": args.count,
+        "seed": args.seed,
+        "passed": all(r.passed for r in results),
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+    }
     if args.output == "json":
-        doc = {
-            "count": args.count,
-            "seed": args.seed,
-            "passed": all(r.passed for r in results),
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-        }
         _print(dumps(doc))
     else:
-        for r in results:
-            _print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
+        for check in doc["checks"]:
+            _print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
     failing = [r for r in results if not r.passed]
     if failing:
         _print_err(f"first failing check: {failing[0].name}")
@@ -255,27 +248,23 @@ def cmd_dump_tables(args: argparse.Namespace) -> int:
     from .serialize import dumps, ket_to_json, matrix_to_json
 
     ks = kraus_set(1)
-    basis = bell_basis()
+    doc = {
+        "a_ops": [matrix_to_json(a) for a in ks.a_ops],
+        "b_ops": [matrix_to_json(b) for b in ks.b_ops],
+        "swap_1_3": matrix_to_json(SWAP_0_2),
+        "bell_vectors": [ket_to_json(k) for k in bell_basis()],
+    }
     if args.output == "json":
-        doc = {
-            "a_ops": [matrix_to_json(a) for a in ks.a_ops],
-            "b_ops": [matrix_to_json(b) for b in ks.b_ops],
-            "swap_1_3": matrix_to_json(SWAP_0_2),
-            "bell_vectors": [ket_to_json(k) for k in basis],
-        }
         _print(dumps(doc))
     else:
-        for i, a in enumerate(ks.a_ops, start=1):
-            _print(f"A^{i}:")
-            _print(format_matrix(a))
-        for i, b in enumerate(ks.b_ops, start=1):
-            _print(f"B^{i}:")
-            _print(format_matrix(b))
+        for key, symbol in (("a_ops", "A"), ("b_ops", "B")):
+            for i, m in enumerate(doc[key], start=1):
+                _print(f"{symbol}^{i}:")
+                _print(format_matrix(m))
         _print("SWAP_1_3:")
-        _print(format_matrix(SWAP_0_2))
-        for i, k in enumerate(basis, start=1):
-            amps = ", ".join(_fmt_complex(z) for z in k.amplitudes)
-            _print(f"bell_vector_{i}: ({amps})")
+        _print(format_matrix(doc["swap_1_3"]))
+        for i, k in enumerate(doc["bell_vectors"], start=1):
+            _print(f"bell_vector_{i}: ({', '.join(map(_fmt_pair, k['amplitudes']))})")
     return EXIT_OK
 
 

@@ -251,17 +251,13 @@ def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     return DensityMatrix(sum(ks.kraus @ rho_in.matrix @ ks.kraus.conj().transpose(0, 2, 1)))
 
 
-def _project(rho_in: DensityMatrix, projectors: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Unnormalized post-measurement states P_i rho P_i, stacked, and their traces p_i."""
+def _corrected_branches(rho_in: DensityMatrix, ks: KrausSet) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Unnormalized corrected states B_i (P_i rho P_i) B_i-dagger, stacked, and p_i = Tr(P_i rho P_i)."""
     if rho_in.dim != 8:
         raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
-    projected = projectors @ rho_in.matrix @ projectors
-    return projected, tuple(projected.trace(axis1=1, axis2=2).real.tolist())
-
-
-def _corrected_branch(ks: KrausSet, i: int, projected: np.ndarray, p: float) -> DensityMatrix:
-    """Normalized post-state of outcome i + 1 after its correction B^(i+1)."""
-    return DensityMatrix(ks.b_ops[i] @ projected[i] @ ks.b_ops[i].conj().T / p)
+    projected = ks.projectors @ rho_in.matrix @ ks.projectors
+    probabilities = tuple(projected.trace(axis1=1, axis2=2).real.tolist())
+    return ks.b_ops @ projected @ ks.b_ops.conj().transpose(0, 2, 1), probabilities
 
 
 def _shot(
@@ -273,7 +269,7 @@ def _shot(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    projected, probabilities = _project(rho_in, ks.projectors)
+    corrected, probabilities = _corrected_branches(rho_in, ks)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
         raise ValueError("all measurement branches have vanishing probability")
@@ -283,7 +279,7 @@ def _shot(
         acc += probabilities[chosen]
         if u < acc:
             break
-    return probabilities, chosen + 1, _corrected_branch(ks, chosen, projected, probabilities[chosen])
+    return probabilities, chosen + 1, DensityMatrix(corrected[chosen] / probabilities[chosen])
 
 
 def measurement_branches(
@@ -294,9 +290,9 @@ def measurement_branches(
     Outcomes with probability at or below MIN_BRANCH_PROBABILITY carry None
     instead of a normalized state.
     """
-    projected, probabilities = _project(rho_in, ks.projectors)
+    corrected, probabilities = _corrected_branches(rho_in, ks)
     return tuple(
-        (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, _corrected_branch(ks, i, projected, p))
+        (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, DensityMatrix(corrected[i] / p))
         for i, p in enumerate(probabilities)
     )
 

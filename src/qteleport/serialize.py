@@ -20,13 +20,9 @@ from .states import DensityMatrix, Ket, QubitState, validate_density
 SIGNIFICANT_DIGITS = 12
 
 
-def round_sig(x: float, digits: int = SIGNIFICANT_DIGITS) -> float:
-    """Round to the given number of significant decimal digits."""
-    return float(f"{float(x):.{digits}g}")
-
-
 def _number(x: float) -> float | int:
-    r = float(f"{float(x):.{SIGNIFICANT_DIGITS}g}")  # round_sig inlined: this runs once per entry
+    """x rounded to SIGNIFICANT_DIGITS, an int when integral: the one number format of every document."""
+    r = float(f"{float(x):.{SIGNIFICANT_DIGITS}g}")
     return int(r) if r.is_integer() and abs(r) < 2**53 else r
 
 

@@ -74,7 +74,9 @@ class QubitState:
 
 def qubit_state(alpha: complex, beta: complex, renormalize: bool = False) -> QubitState:
     """Build a QubitState, optionally rescaling (alpha, beta) to unit norm."""
-    return QubitState(*_unit_amplitudes((alpha, beta), "qubit amplitudes", renormalize).tolist())
+    if renormalize:
+        alpha, beta = _unit_amplitudes((alpha, beta), "qubit amplitudes", renormalize=True).tolist()
+    return QubitState(alpha, beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +95,9 @@ class Ket:
 
 def ket(amplitudes: object, renormalize: bool = False) -> Ket:
     """Build a Ket, optionally rescaling the amplitudes to unit norm."""
-    return Ket(_unit_amplitudes(amplitudes, "ket amplitudes", renormalize))
+    if renormalize:
+        amplitudes = _unit_amplitudes(amplitudes, "ket amplitudes", renormalize=True)
+    return Ket(amplitudes)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True, eq=False)

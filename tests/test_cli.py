@@ -10,6 +10,7 @@ from qteleport.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    _fmt_pair,
     build_parser,
     main,
     parse_complex,
@@ -194,6 +195,64 @@ class TestSwapCompareCommand:
         assert doc["swap"]["entropy_12_bits"] == pytest.approx(0.0, abs=1e-9)
         assert doc["teleport"]["fidelity_3"] == 1
         assert doc["swap"]["fidelity_3"] == 1
+
+
+# Amplitudes whose outputs need all 12 significant digits.
+GENERIC_STATE = ["--alpha", "0.3+0.4i", "--beta", "0.5-0.7i", "--renormalize"]
+
+
+def _text_and_document(argv, capsys):
+    """The text output of argv and the document that argv --output json prints."""
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert main([*argv, "--output", "json"]) == EXIT_OK
+    return text, json.loads(capsys.readouterr().out)
+
+
+def _fields(text):
+    """The 'key: value' lines of a text output, keyed by the stripped key."""
+    return dict(line.strip().split(": ", 1) for line in text.splitlines() if ": " in line)
+
+
+def _cells(text):
+    """Every matrix cell of a text output, in print order."""
+    return [cell for line in text.splitlines() if line.startswith("  [") for cell in line[3:-1].split()]
+
+
+def _pairs(doc, *keys):
+    return [_fmt_pair(pair) for key in keys for pair in doc[key]["entries"]]
+
+
+class TestTextFollowsTheDocument:
+    @pytest.mark.parametrize(
+        "extra",
+        [["--resource-index", "2"], ["--resource-index", "3", "--mode", "single-shot", "--seed", "3"]],
+        ids=["ensemble", "single-shot"],
+    )
+    def test_teleport(self, extra, capsys):
+        text, doc = _text_and_document(["teleport", *GENERIC_STATE, *extra], capsys)
+        fields = _fields(text)
+        state = doc["input_state"]
+        assert fields["input state"] == f"alpha = {_fmt_pair(state['alpha'])}, beta = {_fmt_pair(state['beta'])}"
+        assert fields["measurement outcome"] == ("-" if doc["outcome"] is None else str(doc["outcome"]))
+        assert fields["outcome probabilities"] == ", ".join(map(str, doc["outcome_probabilities"]))
+        assert fields["fidelity of subsystem-3 marginal vs input"] == str(doc["fidelity"])
+        assert fields["output entropy"] == f"{doc['output_entropy_bits']} bits"
+        assert _cells(text) == _pairs(doc, "marginal_3", "marginal_12", "output_density")
+
+    def test_swap_compare(self, capsys):
+        text, doc = _text_and_document(["swap-compare", *GENERIC_STATE], capsys)
+        head, swap = text.split("[swap]\n")
+        for part, branch in ((head, doc["teleport"]), (swap, doc["swap"])):
+            fields = _fields(part)
+            assert fields["marginal 1,2"] == f"purity {branch['purity_12']}, entropy {branch['entropy_12_bits']} bits"
+            assert fields["marginal 3"] == (
+                f"purity {branch['purity_3']}, entropy {branch['entropy_3_bits']} bits, "
+                f"fidelity vs input {branch['fidelity_3']}"
+            )
+            assert _cells(part) == _pairs(branch, "marginal_12")
+        state = doc["input_state"]
+        assert _fields(head)["input state"] == f"alpha = {_fmt_pair(state['alpha'])}, beta = {_fmt_pair(state['beta'])}"
 
 
 class TestVerifyCommand:

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from qteleport.cli import _fmt_complex, parse_complex
+from qteleport.cli import _fmt_pair, parse_complex
 from qteleport.linalg import identity, kron
 from qteleport.protocol import ENSEMBLE, MODES, RESOURCE_INDICES, run_protocol
 from qteleport.serialize import (
+    complex_pair,
     density_from_json,
     density_to_json,
     dumps,
@@ -21,7 +22,6 @@ from qteleport.serialize import (
     matrix_from_json,
     matrix_to_json,
     report_to_json,
-    round_sig,
 )
 from qteleport.states import QubitState, ket, ket_to_density, qubit_state, random_density, random_qubit_state
 
@@ -95,10 +95,10 @@ def assert_within_rounding(back: np.ndarray, original: np.ndarray) -> None:
 @PROPERTY_SETTINGS
 @given(FINITE, FINITE)
 def test_complex_literals_round_trip(re, im):
-    text = _fmt_complex(complex(re, im))
+    text = _fmt_pair(complex_pair(complex(re, im)))
     back = parse_complex(text)
-    assert back == complex(round_sig(re), round_sig(im))
-    assert _fmt_complex(back) == text
+    assert back == complex(float(f"{re:.12g}"), float(f"{im:.12g}"))
+    assert _fmt_pair(complex_pair(back)) == text
 
 
 @PROPERTY_SETTINGS

@@ -19,8 +19,8 @@ from qteleport.protocol import (
     THREE_QUBITS,
     _CANDIDATE_PAULIS,
     KrausSet,
+    _corrected_branches,
     _marginals,
-    _project,
     bell_basis,
     build_initial_state,
     compare_swap_vs_teleport,
@@ -716,10 +716,15 @@ class TestStackedPasses:
         ks = kraus_set(resource)
         ks = corrupted_for_negative_control(ks) if corrupted else ks
         for rho in _sample_states(resource):
-            projected, probabilities = _project(rho, ks.projectors)
+            corrected, probabilities = _corrected_branches(rho, ks)
             expected = [p @ rho.matrix @ p for p in ks.projectors]
+            # each B is a permutation with unit phases, so undoing it gives back the projected state exactly
+            projected = [dagger(b) @ m @ b for b, m in zip(ks.b_ops, corrected, strict=True)]
             assert all(np.array_equal(m, e) for m, e in zip(projected, expected, strict=True))
             assert probabilities == tuple(float(np.trace(e).real) for e in expected)
+            # bit for bit, signed zeros included: the batched product corrects each slice as a loop would
+            per_outcome = [b @ e @ dagger(b) for b, e in zip(ks.b_ops, expected, strict=True)]
+            assert all(m.tobytes() == e.tobytes() for m, e in zip(corrected, per_outcome, strict=True))
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_branches_equal_the_per_outcome_loop(self, resource):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qteleport.linalg import identity
 from qteleport.protocol import ENSEMBLE, SINGLE_SHOT, compare_swap_vs_teleport, run_protocol
 from qteleport.serialize import (
+    _number,
     comparison_to_json,
     density_from_json,
     density_to_json,
@@ -19,7 +20,6 @@ from qteleport.serialize import (
     matrix_from_json,
     matrix_to_json,
     report_to_json,
-    round_sig,
 )
 from qteleport.states import DensityMatrix, QubitState, TraceNotOne, ket
 
@@ -84,9 +84,9 @@ class TestMatrixSchema:
             load({**doc, key: [pair]})
 
     def test_significant_digit_rounding(self):
-        assert round_sig(1 / 3) == 0.333333333333
-        assert round_sig(0.25) == 0.25
-        assert round_sig(1.0000000000000002) == 1.0
+        assert _number(1 / 3) == 0.333333333333
+        assert _number(0.25) == 0.25
+        assert _number(1.0000000000000002) == 1.0
 
     def test_entries_are_round_sig_of_each_part_with_zeros_as_int(self):
         parts = [0.0, -0.0, 1 / 3, -2.0, 1e-300, 2.0**60, 5e-324, 1.0000000000000002]
@@ -94,7 +94,7 @@ class TestMatrixSchema:
         entries = matrix_to_json(m.reshape(8, 8))["entries"]
         for (re, im), z in zip(entries, m, strict=True):
             for written, x in ((re, z.real), (im, z.imag)):
-                expected = round_sig(x)
+                expected = float(f"{x:.12g}")
                 if expected.is_integer() and abs(expected) < 2**53:
                     expected = int(expected)
                 assert written == expected and type(written) is type(expected)

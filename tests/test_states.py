@@ -16,6 +16,7 @@ from qteleport.states import (
     QubitState,
     StateValidationError,
     TraceNotOne,
+    _unit_amplitudes,
     fidelity_pure,
     ket,
     ket_to_density,
@@ -142,6 +143,23 @@ def test_renormalized_pairs_match_renormalized_kets_bit_for_bit():
         psi = qubit_state(alpha, beta, renormalize=True)
         amplitudes = ket([alpha, beta], renormalize=True).amplitudes
         assert np.array([psi.alpha, psi.beta]).tobytes() == amplitudes.tobytes()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: qubit_state(0.6, 0.8j), lambda: ket([0.6, 0.8j]), lambda: ket(np.array([0.0, 1.0]))],
+    ids=["qubit_state", "ket-list", "ket-array"],
+)
+def test_unchecked_builders_check_the_amplitudes_once(build, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _unit_amplitudes(*args, **kwargs)
+
+    monkeypatch.setattr("qteleport.states._unit_amplitudes", counted)
+    build()
+    assert len(calls) == 1
 
 
 class TestKetToDensity:
