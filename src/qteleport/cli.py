@@ -6,6 +6,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING, Any
 
 from .base import (
@@ -147,125 +148,98 @@ def format_matrix(doc: dict[str, Any]) -> str:
     )
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text + "\n")
-
-
-def _print_err(text: str) -> None:
-    sys.stderr.write(text + "\n")
-
-
 def _fmt_input(doc: dict[str, Any]) -> str:
     return f"input state: alpha = {_fmt_pair(doc['alpha'])}, beta = {_fmt_pair(doc['beta'])}"
 
 
-def cmd_teleport(args: argparse.Namespace) -> int:
+# What each command returns: its document, its text lines (consumed for --output text
+# only) and the message of its failed check, None when the check passed.
+CommandResult = tuple[dict[str, Any], Iterable[str], str | None]
+
+
+def _teleport_lines(doc: dict[str, Any]) -> Iterator[str]:
+    yield f"mode: {doc['mode']}"
+    yield f"seed: {doc['seed']}"
+    yield f"resource index: {doc['resource_index']}"
+    yield f"extends the canonical resource-1 setup: {'yes' if doc['paper_extension'] else 'no'}"
+    yield _fmt_input(doc["input_state"])
+    yield f"measurement outcome: {'-' if doc['outcome'] is None else doc['outcome']}"
+    yield f"outcome probabilities: {', '.join(map(str, doc['outcome_probabilities']))}"
+    yield f"fidelity of subsystem-3 marginal vs input: {doc['fidelity']}"
+    yield f"output entropy: {doc['output_entropy_bits']} bits"
+    yield "marginal on subsystem 3:"
+    yield format_matrix(doc["marginal_3"])
+    yield "marginal on subsystems 1,2:"
+    yield format_matrix(doc["marginal_12"])
+    yield "full output state:"
+    yield format_matrix(doc["output_density"])
+
+
+def cmd_teleport(args: argparse.Namespace) -> CommandResult:
     psi = build_input_state(args)
     from .protocol import run_protocol
-    from .serialize import dumps, report_to_json
+    from .serialize import report_to_json
 
     report = run_protocol(psi, args.resource_index, args.mode, args.seed)
     doc = report_to_json(report)
-    if args.output == "json":
-        _print(dumps(doc))
-    else:
-        _print(f"mode: {doc['mode']}")
-        _print(f"seed: {doc['seed']}")
-        _print(f"resource index: {doc['resource_index']}")
-        _print(f"extends the canonical resource-1 setup: {'yes' if doc['paper_extension'] else 'no'}")
-        _print(_fmt_input(doc["input_state"]))
-        _print(f"measurement outcome: {'-' if doc['outcome'] is None else doc['outcome']}")
-        _print(f"outcome probabilities: {', '.join(map(str, doc['outcome_probabilities']))}")
-        _print(f"fidelity of subsystem-3 marginal vs input: {doc['fidelity']}")
-        _print(f"output entropy: {doc['output_entropy_bits']} bits")
-        _print("marginal on subsystem 3:")
-        _print(format_matrix(doc["marginal_3"]))
-        _print("marginal on subsystems 1,2:")
-        _print(format_matrix(doc["marginal_12"]))
-        _print("full output state:")
-        _print(format_matrix(doc["output_density"]))
-    if report.fidelity >= 1.0 - args.tol:
-        return EXIT_OK
-    _print_err(f"fidelity {report.fidelity!r} fell below 1 - {args.tol!r}")
-    return EXIT_CHECK_FAILED
+    passed = report.fidelity >= 1.0 - args.tol
+    failure = f"fidelity {report.fidelity!r} fell below 1 - {args.tol!r}"
+    return doc, _teleport_lines(doc), None if passed else failure
 
 
-def cmd_swap_compare(args: argparse.Namespace) -> int:
+def _swap_compare_lines(doc: dict[str, Any]) -> Iterator[str]:
+    yield _fmt_input(doc["input_state"])
+    for label in ("teleport", "swap"):
+        branch = doc[label]
+        yield f"[{label}]"
+        yield f"  consumes a Bell resource: {'yes' if branch['requires_bell_resource'] else 'no'}"
+        yield f"  marginal 1,2: purity {branch['purity_12']}, entropy {branch['entropy_12_bits']} bits"
+        yield (f"  marginal 3: purity {branch['purity_3']}, entropy {branch['entropy_3_bits']} bits, "
+               f"fidelity vs input {branch['fidelity_3']}")
+        yield format_matrix(branch["marginal_12"])
+
+
+def cmd_swap_compare(args: argparse.Namespace) -> CommandResult:
     psi = build_input_state(args)
     from .protocol import compare_swap_vs_teleport
-    from .serialize import comparison_to_json, dumps
+    from .serialize import comparison_to_json
 
     comparison = compare_swap_vs_teleport(psi)
     doc = comparison_to_json(comparison)
-    if args.output == "json":
-        _print(dumps(doc))
-    else:
-        _print(_fmt_input(doc["input_state"]))
-        for label in ("teleport", "swap"):
-            branch = doc[label]
-            _print(f"[{label}]")
-            _print(f"  consumes a Bell resource: {'yes' if branch['requires_bell_resource'] else 'no'}")
-            _print(f"  marginal 1,2: purity {branch['purity_12']}, entropy {branch['entropy_12_bits']} bits")
-            _print(f"  marginal 3: purity {branch['purity_3']}, entropy {branch['entropy_3_bits']} bits, "
-                   f"fidelity vs input {branch['fidelity_3']}")
-            _print(format_matrix(branch["marginal_12"]))
-    ok = (
-        abs(comparison.teleport.entropy_12_bits - 2.0) <= args.tol
-        and abs(comparison.swap.entropy_12_bits) <= args.tol
-    )
-    if ok:
-        return EXIT_OK
-    _print_err("marginal entropies do not show the expected teleport/swap contrast")
-    return EXIT_CHECK_FAILED
+    teleport, swap = comparison.teleport.entropy_12_bits, comparison.swap.entropy_12_bits
+    contrast = abs(teleport - 2.0) <= args.tol and abs(swap) <= args.tol
+    failure = "marginal entropies do not show the expected teleport/swap contrast"
+    return doc, _swap_compare_lines(doc), None if contrast else failure
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    from .serialize import dumps
+def cmd_verify(args: argparse.Namespace) -> CommandResult:
+    from .serialize import checks_to_json
     from .verify import corrupted_for_negative_control, run_checks
 
     corrupt = corrupted_for_negative_control if args.inject_corruption else None
     results = run_checks(count=args.count, tol=args.tol, rng_seed=args.seed, corrupt_kraus=corrupt)
-    doc = {
-        "count": args.count,
-        "seed": args.seed,
-        "passed": all(r.passed for r in results),
-        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
-    }
-    if args.output == "json":
-        _print(dumps(doc))
-    else:
-        for check in doc["checks"]:
-            _print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}: {check['detail']}")
-    failing = [r for r in results if not r.passed]
-    if failing:
-        _print_err(f"first failing check: {failing[0].name}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    doc = checks_to_json(results, args.count, args.seed)
+    lines = (f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}" for c in doc["checks"])
+    failing = [c["name"] for c in doc["checks"] if not c["passed"]]
+    return doc, lines, f"first failing check: {failing[0]}" if failing else None
 
 
-def cmd_dump_tables(args: argparse.Namespace) -> int:
-    from .protocol import SWAP_0_2, bell_basis, kraus_set
-    from .serialize import dumps, ket_to_json, matrix_to_json
+def _tables_lines(doc: dict[str, Any]) -> Iterator[str]:
+    for key, symbol in (("a_ops", "A"), ("b_ops", "B")):
+        for i, m in enumerate(doc[key], start=1):
+            yield f"{symbol}^{i}:"
+            yield format_matrix(m)
+    yield "SWAP_1_3:"
+    yield format_matrix(doc["swap_1_3"])
+    for i, k in enumerate(doc["bell_vectors"], start=1):
+        yield f"bell_vector_{i}: ({', '.join(map(_fmt_pair, k['amplitudes']))})"
 
-    ks = kraus_set(1)
-    doc = {
-        "a_ops": [matrix_to_json(a) for a in ks.a_ops],
-        "b_ops": [matrix_to_json(b) for b in ks.b_ops],
-        "swap_1_3": matrix_to_json(SWAP_0_2),
-        "bell_vectors": [ket_to_json(k) for k in bell_basis()],
-    }
-    if args.output == "json":
-        _print(dumps(doc))
-    else:
-        for key, symbol in (("a_ops", "A"), ("b_ops", "B")):
-            for i, m in enumerate(doc[key], start=1):
-                _print(f"{symbol}^{i}:")
-                _print(format_matrix(m))
-        _print("SWAP_1_3:")
-        _print(format_matrix(doc["swap_1_3"]))
-        for i, k in enumerate(doc["bell_vectors"], start=1):
-            _print(f"bell_vector_{i}: ({', '.join(map(_fmt_pair, k['amplitudes']))})")
-    return EXIT_OK
+
+def cmd_dump_tables(args: argparse.Namespace) -> CommandResult:
+    from .serialize import tables_to_json
+
+    doc = tables_to_json()
+    return doc, _tables_lines(doc), None
 
 
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
@@ -302,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     teleport = sub.add_parser("teleport", help="run the protocol and report the transferred state")
+    teleport.set_defaults(run=cmd_teleport)
     _add_state_flags(teleport)
     teleport.add_argument(
         "--resource-index",
@@ -315,10 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(teleport)
 
     swap_cmp = sub.add_parser("swap-compare", help="contrast the channel with the swap unitary")
+    swap_cmp.set_defaults(run=cmd_swap_compare)
     _add_state_flags(swap_cmp)
     _add_common_flags(swap_cmp)
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
+    verify.set_defaults(run=cmd_verify)
     verify.add_argument("--count", type=_positive_int, default=DEFAULT_SWEEP_COUNT,
                         help="number of random states in the fidelity sweep")
     verify.add_argument("--seed", type=_nonnegative_int, default=0)
@@ -326,20 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(verify)
 
     dump = sub.add_parser("dump-tables", help="print the channel operators and Bell vectors")
+    dump.set_defaults(run=cmd_dump_tables)
     _add_common_flags(dump)
 
     return parser
 
 
-_COMMANDS = {
-    "teleport": cmd_teleport,
-    "swap-compare": cmd_swap_compare,
-    "verify": cmd_verify,
-    "dump-tables": cmd_dump_tables,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place its document or text, its failure line and its exit code are issued."""
     args = build_parser().parse_args(argv)
     try:
         # The resolved amplitudes and tolerance replace their raw flag strings;
@@ -347,10 +318,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("teleport", "swap-compare"):
             args.alpha, args.beta = _resolve_amplitudes(args)
         args.tol = _resolve_tol(args)
-        return _COMMANDS[args.command](args)
+        doc, lines, failure = args.run(args)
     except (UsageError, StateValidationError) as exc:
-        _print_err(f"error: {exc}")
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    if args.output == "json":
+        from .serialize import dumps
+
+        lines = [dumps(doc)]
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    if failure is None:
+        return EXIT_OK
+    sys.stderr.write(failure + "\n")
+    return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

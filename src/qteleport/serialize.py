@@ -1,4 +1,4 @@
-"""JSON wire formats: matrices, states, protocol reports, comparisons.
+"""JSON wire formats: matrices, states, and the documents of the four CLI commands.
 
 All floats are printed as decimals with 12 significant digits, so repeated
 runs are byte-identical and parse-print round trips stay within 1e-12.
@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .linalg import as_complex_array
-from .protocol import BranchSummary, ProtocolReport, SwapComparison
+from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, bell_basis, kraus_set
 from .states import DensityMatrix, Ket, QubitState, validate_density
 
 SIGNIFICANT_DIGITS = 12
@@ -143,6 +143,23 @@ def comparison_to_json(comparison: SwapComparison) -> dict[str, Any]:
         "input_state": qubit_to_json(comparison.input_state),
         "teleport": _branch_to_json(comparison.teleport),
         "swap": _branch_to_json(comparison.swap),
+    }
+
+
+def checks_to_json(results: list[Any], count: int, seed: int) -> dict[str, Any]:
+    """verify document of run_checks results; any objects with name, passed and detail will do."""
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    return {"count": count, "seed": seed, "passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+def tables_to_json() -> dict[str, Any]:
+    """dump-tables document: the resource-1 operators, the factor 1 <-> 3 swap and the Bell vectors."""
+    ks = kraus_set(1)
+    return {
+        "a_ops": [matrix_to_json(a) for a in ks.a_ops],
+        "b_ops": [matrix_to_json(b) for b in ks.b_ops],
+        "swap_1_3": matrix_to_json(SWAP_0_2),
+        "bell_vectors": [ket_to_json(k) for k in bell_basis()],
     }
 
 

@@ -40,9 +40,11 @@ def _unit_amplitudes(values: object, name: str, renormalize: bool = False) -> np
         parts /= scale
     else:
         scale = 1.0
-    # a hypot over the moduli squares no modulus; Python's abs(complex) rounds as np.hypot of the parts
-    # does and np.abs does not, and on vectors this short Python scalars are cheaper than numpy calls
-    norm = float(np.hypot.reduce([abs(z) for z in v.tolist()]))
+    # a hypot fold over the moduli squares no modulus; Python's abs(complex) is the C hypot, which
+    # np.hypot also calls and np.abs does not, and on vectors this short Python scalars are cheaper
+    norm = 0.0
+    for z in v.tolist():
+        norm = abs(complex(norm, abs(z)))
     if renormalize:
         if norm == 0.0:
             raise ValueError(f"cannot renormalize zero {name}")

@@ -1,11 +1,13 @@
 """Command-line behavior: flags, exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from helpers import run_python
+from qteleport import protocol
 from qteleport.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -195,6 +197,52 @@ class TestSwapCompareCommand:
         assert doc["swap"]["entropy_12_bits"] == pytest.approx(0.0, abs=1e-9)
         assert doc["teleport"]["fidelity_3"] == 1
         assert doc["swap"]["fidelity_3"] == 1
+
+
+class TestCheckFailedExits:
+    """A failed check still prints the full document; stderr gets one line and the exit code is 1.
+
+    Valid inputs give exact results, so the failing report is substituted.
+    """
+
+    @staticmethod
+    def _failed_then_passed(argv, tight_tol, loose_tol, capsys):
+        """stdout and stderr of argv with tight_tol; with loose_tol it passes and prints the same stdout."""
+        assert main([*argv, "--tol", tight_tol]) == EXIT_CHECK_FAILED
+        failed = capsys.readouterr()
+        assert main([*argv, "--tol", loose_tol]) == EXIT_OK
+        assert capsys.readouterr() == (failed.out, "")
+        return failed.out, failed.err
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_teleport_fidelity_below_tolerance(self, output, capsys, monkeypatch):
+        run = protocol.run_protocol
+        monkeypatch.setattr(protocol, "run_protocol", lambda *args: dataclasses.replace(run(*args), fidelity=0.5))
+        argv = ["teleport", "--alpha", "0.6", "--beta", "0.8i", "--output", output]
+        out, err = self._failed_then_passed(argv, "1e-06", "0.6", capsys)
+        assert err == "fidelity 0.5 fell below 1 - 1e-06\n"
+        if output == "json":
+            assert json.loads(out)["fidelity"] == 0.5
+        else:
+            assert out.startswith("mode: ensemble\n") and "full output state:\n" in out
+            assert "fidelity of subsystem-3 marginal vs input: 0.5\n" in out
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_swap_compare_without_entropy_contrast(self, output, capsys, monkeypatch):
+        compare = protocol.compare_swap_vs_teleport
+
+        def no_contrast(psi):
+            comparison = compare(psi)
+            return dataclasses.replace(comparison, swap=dataclasses.replace(comparison.swap, entropy_12_bits=1.0))
+
+        monkeypatch.setattr(protocol, "compare_swap_vs_teleport", no_contrast)
+        argv = ["swap-compare", "--alpha", "0.6", "--beta", "0.8i", "--output", output]
+        out, err = self._failed_then_passed(argv, "1e-06", "1.5", capsys)
+        assert err == "marginal entropies do not show the expected teleport/swap contrast\n"
+        if output == "json":
+            assert json.loads(out)["swap"]["entropy_12_bits"] == 1
+        else:
+            assert "  marginal 1,2: purity 1, entropy 1 bits\n" in out
 
 
 # Amplitudes whose outputs need all 12 significant digits.

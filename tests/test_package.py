@@ -1,6 +1,8 @@
 """The package namespace: what `from qteleport import *` exports."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +63,17 @@ def test_first_use_loads_only_the_library_layers():
     loaded = set(proc.stdout.split())
     assert {"qteleport.linalg", "qteleport.states", "qteleport.protocol"} <= loaded
     assert loaded.isdisjoint({"qteleport.serialize", "qteleport.verify", "qteleport.cli"})
+
+
+def test_sources_and_tests_parse_with_the_oldest_supported_grammar():
+    # pyproject.toml declares requires-python >=3.10
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(root.glob("src/**/*.py")) + sorted(root.glob("tests/**/*.py"))
+    assert len(files) > 10
+    failures = []
+    for path in files:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failures.append(f"{path.relative_to(root)}:{exc.lineno}: {exc.msg}")
+    assert failures == []

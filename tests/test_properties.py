@@ -2,6 +2,7 @@
 and the text and JSON formats over arbitrary finite numbers."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,16 @@ from qteleport.serialize import (
     matrix_to_json,
     report_to_json,
 )
-from qteleport.states import QubitState, ket, ket_to_density, qubit_state, random_density, random_qubit_state
+from qteleport.states import (
+    TOL_NORM,
+    QubitState,
+    StateValidationError,
+    ket,
+    ket_to_density,
+    qubit_state,
+    random_density,
+    random_qubit_state,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 RESOURCES = st.sampled_from(RESOURCE_INDICES)
@@ -138,3 +148,58 @@ def test_every_finite_pair_renormalizes(alpha, beta):
         return
     psi = qubit_state(alpha, beta, renormalize=True)
     assert abs(abs(psi.alpha) ** 2 + abs(psi.beta) ** 2 - 1.0) <= 1e-15
+
+
+# Parts from 1e-300 to 1e300 in magnitude, besides any finite float (subnormals and near-overflow included).
+SCALED_PART = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+AMPLITUDE = st.builds(complex, st.one_of(FINITE, SCALED_PART), st.one_of(FINITE, SCALED_PART))
+
+
+def hypot_oracle(values: list[complex]) -> tuple[np.ndarray, float]:
+    """The renormalized amplitudes and the squared-norm deviation of values, the norm taken by np.hypot.reduce."""
+    v = np.array(values, dtype=complex)
+    parts = v.view(float)
+    scale = float(np.max(np.abs(parts)))
+    if not (0.0 < scale < sys.float_info.min or scale > sys.float_info.max / parts.size**0.5):
+        scale = 1.0
+    parts /= scale
+    norm = float(np.hypot.reduce(np.hypot(v.real, v.imag)))
+    deviation = abs(scale * norm * scale * norm - 1.0)
+    if norm:
+        parts /= norm
+    return v, deviation
+
+
+def assert_checked_like_the_oracle(build, values: list[complex]) -> None:
+    """build(values) keeps the amplitudes when the oracle's deviation is within TOL_NORM, else raises it."""
+    _, deviation = hypot_oracle(values)
+    if deviation > TOL_NORM:
+        with pytest.raises(StateValidationError) as excinfo:
+            build(values)
+        assert excinfo.value.violation == deviation
+    else:
+        assert build(values).tobytes() == np.array(values, dtype=complex).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(AMPLITUDE, min_size=1, max_size=8).filter(any))
+def test_ket_norm_matches_numpy_hypot_bit_for_bit(values):
+    unit, _ = hypot_oracle(values)
+    assert ket(values, renormalize=True).amplitudes.tobytes() == unit.tobytes()
+    assert_checked_like_the_oracle(lambda v: ket(v).amplitudes, values)
+    assert_checked_like_the_oracle(lambda v: ket(v).amplitudes, unit.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(AMPLITUDE, AMPLITUDE).filter(any))
+def test_qubit_norm_matches_numpy_hypot_bit_for_bit(pair):
+    unit, _ = hypot_oracle(list(pair))
+    psi = qubit_state(*pair, renormalize=True)
+    assert np.array([psi.alpha, psi.beta]).tobytes() == unit.tobytes()
+
+    def amplitudes(v):
+        psi = QubitState(*v)
+        return np.array([psi.alpha, psi.beta])
+
+    assert_checked_like_the_oracle(amplitudes, list(pair))
+    assert_checked_like_the_oracle(amplitudes, unit.tolist())

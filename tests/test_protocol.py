@@ -436,6 +436,29 @@ class TestCorrections:
         )
         assert not results["random_state_fidelity"].passed
 
+    @pytest.mark.parametrize(
+        "outcome, replacement, passed",
+        [(1, -1j * np.eye(2), True), (2, np.eye(2), False), (3, np.eye(2), False)],
+        ids=["global-phase", "pauli-x-for-identity", "relative-phase"],
+    )
+    def test_verify_accepts_the_published_table_up_to_a_global_phase_only(
+        self, outcome, replacement, passed, monkeypatch
+    ):
+        # outcome 1 publishes the identity and outcome 3 sigma_z, which equals it up to a relative phase only
+        published = list(correction_set(1))
+        published[outcome - 1] = replacement
+
+        def production(resource):
+            return tuple(published) if resource == 1 else correction_set(resource)
+
+        monkeypatch.setattr("qteleport.verify.correction_set", production)
+        results = {r.name: r for r in run_checks(count=8)}
+        detail = f"resource 1 outcome {outcome}: derived correction is not phase-equivalent"
+        assert results["correction_search"] == CheckResult(
+            "correction_search", passed,
+            "derived corrections are phase-equivalent to the production sets" if passed else detail,
+        )
+
     def test_production_set_for_resource_1_is_published_exactly(self):
         production = correction_set(1)
         for u, published in zip(production, PUBLISHED_RESOURCE_1_CORRECTIONS):

@@ -1,16 +1,19 @@
 """JSON wire formats: schemas, round trips, 12-digit decimal printing."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import run_python
 from qteleport.linalg import identity
-from qteleport.protocol import ENSEMBLE, SINGLE_SHOT, compare_swap_vs_teleport, run_protocol
+from qteleport.protocol import ENSEMBLE, SINGLE_SHOT, SWAP_0_2, compare_swap_vs_teleport, kraus_set, run_protocol
 from qteleport.serialize import (
     _number,
+    checks_to_json,
     comparison_to_json,
     density_from_json,
     density_to_json,
@@ -20,6 +23,7 @@ from qteleport.serialize import (
     matrix_from_json,
     matrix_to_json,
     report_to_json,
+    tables_to_json,
 )
 from qteleport.states import DensityMatrix, QubitState, TraceNotOne, ket
 
@@ -181,6 +185,38 @@ class TestReportDocuments:
         a = dumps(report_to_json(run_protocol(QubitState(0.6, 0.8j), 1, ENSEMBLE)))
         b = dumps(report_to_json(run_protocol(QubitState(0.6, 0.8j), 1, ENSEMBLE)))
         assert a == b
+
+    def test_checks_document_reads_any_result_with_name_passed_and_detail(self):
+        results = [
+            SimpleNamespace(name="a", passed=True, detail="ok"),
+            SimpleNamespace(name="b", passed=False, detail="off"),
+        ]
+        assert checks_to_json(results, 5, 2) == {
+            "count": 5,
+            "seed": 2,
+            "passed": False,
+            "checks": [
+                {"name": "a", "passed": True, "detail": "ok"},
+                {"name": "b", "passed": False, "detail": "off"},
+            ],
+        }
+        assert checks_to_json(results[:1], 5, 2)["passed"] is True
+
+    def test_tables_document_holds_the_resource_1_operators(self):
+        doc = tables_to_json()
+        assert list(doc) == ["a_ops", "b_ops", "swap_1_3", "bell_vectors"]
+        ks = kraus_set(1)
+        for key, ops in (("a_ops", ks.a_ops), ("b_ops", ks.b_ops)):
+            assert all(np.array_equal(matrix_from_json(m), op) for m, op in zip(doc[key], ops, strict=True))
+        assert np.array_equal(matrix_from_json(doc["swap_1_3"]), SWAP_0_2)
+        assert [k["kind"] for k in doc["bell_vectors"]] == ["ket"] * 4
+
+    def test_building_the_documents_does_not_load_the_checks_or_the_cli(self):
+        proc = run_python(
+            "import sys, qteleport.serialize as s; s.tables_to_json()\n"
+            "print(sorted(m for m in sys.modules if m in ('qteleport.verify', 'qteleport.cli')))"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 _NUMBERS = st.one_of(
