@@ -7,7 +7,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from .base import (
     DEFAULT_SWEEP_COUNT,
@@ -17,9 +17,6 @@ from .base import (
     RESOURCE_INDICES,
     StateValidationError,
 )
-
-if TYPE_CHECKING:
-    from .states import QubitState
 
 # Parsing the arguments and reporting a usage error import no numeric module:
 # each command imports them once its input has been accepted.
@@ -86,30 +83,23 @@ def _resolve_tol(args: argparse.Namespace) -> float:
     return DEFAULT_TOL
 
 
-def _resolve_amplitude(args: argparse.Namespace, name: str) -> complex | None:
-    """Combine --<name> with --<name>-re/--<name>-im; components win."""
-    re = getattr(args, f"{name}_re")
-    im = getattr(args, f"{name}_im")
-    if re is not None or im is not None:
-        return complex(re or 0.0, im or 0.0)
-    literal = getattr(args, name)
-    if literal is None:
-        return None
-    return parse_complex(literal)
+def input_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
+    """(alpha, beta) from the state flags, with every state check run on them.
 
-
-def _resolve_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
-    """(alpha, beta) from the state flags; a missing one of the two is 0."""
-    alpha = _resolve_amplitude(args, "alpha")
-    beta = _resolve_amplitude(args, "beta")
-    if alpha is None and beta is None:
+    A component flag overrides its literal; an amplitude given by no flag is 0.
+    """
+    resolved = []
+    for name in ("alpha", "beta"):
+        re, im = getattr(args, f"{name}_re"), getattr(args, f"{name}_im")
+        if re is not None or im is not None:
+            resolved.append(complex(re or 0.0, im or 0.0))
+        else:
+            literal = getattr(args, name)
+            resolved.append(None if literal is None else parse_complex(literal))
+    if resolved == [None, None]:
         raise UsageError("an input state is required: use --alpha/--beta or the -re/-im flags")
-    return alpha if alpha is not None else 0.0, beta if beta is not None else 0.0
-
-
-def build_input_state(args: argparse.Namespace) -> QubitState:
-    """The QubitState of the resolved args.alpha and args.beta."""
-    parts = (args.alpha.real, args.alpha.imag, args.beta.real, args.beta.imag)
+    alpha, beta = (0.0 if z is None else z for z in resolved)
+    parts = (alpha.real, alpha.imag, beta.real, beta.imag)
     if not all(map(math.isfinite, parts)):
         raise UsageError("input amplitudes must be finite")
     # inf when finite parts overflow it, which only --renormalize accepts
@@ -121,9 +111,7 @@ def build_input_state(args: argparse.Namespace) -> QubitState:
             f"input state norm {norm:.9f} deviates from 1 by more than {CLI_NORM_TOL}; "
             "pass --renormalize to rescale it"
         )
-    from .states import qubit_state
-
-    return qubit_state(args.alpha, args.beta, renormalize=True)
+    return alpha, beta
 
 
 def _fmt_pair(pair: list[float | int]) -> str:
@@ -140,6 +128,8 @@ def _fmt_pair(pair: list[float | int]) -> str:
 def format_matrix(doc: dict[str, Any]) -> str:
     """The entries of a matrix document, one bracketed row of cols cells per line."""
     cells = [_fmt_pair(pair) for pair in doc["entries"]]
+    if not cells:
+        return ""
     width = max(map(len, cells))
     cols = doc["cols"]
     return "\n".join(
@@ -176,10 +166,11 @@ def _teleport_lines(doc: dict[str, Any]) -> Iterator[str]:
 
 
 def cmd_teleport(args: argparse.Namespace) -> CommandResult:
-    psi = build_input_state(args)
     from .protocol import run_protocol
     from .serialize import report_to_json
+    from .states import qubit_state
 
+    psi = qubit_state(args.alpha, args.beta, renormalize=True)
     report = run_protocol(psi, args.resource_index, args.mode, args.seed)
     doc = report_to_json(report)
     passed = report.fidelity >= 1.0 - args.tol
@@ -200,11 +191,11 @@ def _swap_compare_lines(doc: dict[str, Any]) -> Iterator[str]:
 
 
 def cmd_swap_compare(args: argparse.Namespace) -> CommandResult:
-    psi = build_input_state(args)
     from .protocol import compare_swap_vs_teleport
     from .serialize import comparison_to_json
+    from .states import qubit_state
 
-    comparison = compare_swap_vs_teleport(psi)
+    comparison = compare_swap_vs_teleport(qubit_state(args.alpha, args.beta, renormalize=True))
     doc = comparison_to_json(comparison)
     teleport, swap = comparison.teleport.entropy_12_bits, comparison.swap.entropy_12_bits
     contrast = abs(teleport - 2.0) <= args.tol and abs(swap) <= args.tol
@@ -313,10 +304,10 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the one place its document or text, its failure line and its exit code are issued."""
     args = build_parser().parse_args(argv)
     try:
-        # The resolved amplitudes and tolerance replace their raw flag strings;
-        # state errors are reported before tolerance errors.
-        if args.command in ("teleport", "swap-compare"):
-            args.alpha, args.beta = _resolve_amplitudes(args)
+        # The checked amplitudes and tolerance replace their raw flag strings;
+        # every state error is reported before a tolerance error.
+        if hasattr(args, "alpha"):
+            args.alpha, args.beta = input_amplitudes(args)
         args.tol = _resolve_tol(args)
         doc, lines, failure = args.run(args)
     except (UsageError, StateValidationError) as exc:

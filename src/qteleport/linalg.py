@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import isfinite, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,12 +51,14 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     out = as_complex_array(factors[0], "kron factor")
     for f in factors[1:]:
         f = as_complex_array(f, "kron factor")
-        if out.ndim == f.ndim == 2:
-            # the elementwise products np.kron forms, without its axis bookkeeping
-            (m, n), (p, q) = out.shape, f.shape
-            out = (out[:, None, :, None] * f[None, :, None, :]).reshape(m * p, n * q)
-        else:
-            out = np.kron(out, f)
+        # np.kron's elementwise products: both padded to one ndim with leading 1s,
+        # then axis k of out interleaved before axis k of f
+        nd = max(out.ndim, f.ndim)
+        a = out[(None,) * (nd - out.ndim) + (...,)]
+        b = f[(None,) * (nd - f.ndim) + (...,)]
+        # the ufunc, not `*`: numpy's scalar multiply of two 0-d factors can round otherwise
+        products = np.multiply(a[(slice(None), None) * nd], b[(None, slice(None)) * nd])
+        out = products.reshape(tuple(map(mul, a.shape, b.shape)))
     return out
 
 

@@ -14,6 +14,7 @@ from qteleport.cli import (
     EXIT_USAGE,
     _fmt_pair,
     build_parser,
+    format_matrix,
     main,
     parse_complex,
 )
@@ -179,9 +180,36 @@ class TestTeleportCommand:
         assert "complex literal" in capsys.readouterr().err
         assert main(["swap-compare", "--tol", "-1"]) == EXIT_USAGE
         assert "input state is required" in capsys.readouterr().err
-        # The norm check runs in the command, after the tolerance is resolved.
         assert main(["teleport", "--alpha", "2", "--beta", "0", "--tol", "-1"]) == EXIT_USAGE
-        assert "--tol" in capsys.readouterr().err
+        assert "--renormalize" in capsys.readouterr().err
+
+
+STATE_ERRORS = {
+    "missing": ([], "an input state is required: use --alpha/--beta or the -re/-im flags"),
+    "bad-literal": (["--alpha", "abc"], "cannot parse complex literal 'abc'"),
+    "non-finite-literal": (["--alpha", "nan"], "amplitude 'nan' is not finite"),
+    "non-finite-component": (["--alpha-re", "inf"], "input amplitudes must be finite"),
+    "zero": (["--alpha", "0", "--beta", "0"], "input amplitudes are both zero"),
+    "unnormalized": (
+        ["--alpha", "2", "--beta", "0"],
+        "input state norm 2.000000000 deviates from 1 by more than 1e-06; pass --renormalize to rescale it",
+    ),
+}
+
+
+class TestInputStateBoundary:
+    """Every state error exits 2 with its own message, whatever the tolerance says."""
+
+    @pytest.mark.parametrize("command", ["teleport", "swap-compare"])
+    @pytest.mark.parametrize("tol", ["valid", "flag", "env"])
+    @pytest.mark.parametrize("kind", list(STATE_ERRORS))
+    def test_state_error_is_reported_before_any_tolerance_error(self, kind, tol, command, capsys, monkeypatch):
+        flags, message = STATE_ERRORS[kind]
+        if tol == "env":
+            monkeypatch.setenv("QTELEPORT_TOL", "-1")
+        argv = [command, *flags, *(["--tol", "-1"] if tol == "flag" else [])]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestSwapCompareCommand:
@@ -269,6 +297,13 @@ def _cells(text):
 
 def _pairs(doc, *keys):
     return [_fmt_pair(pair) for key in keys for pair in doc[key]["entries"]]
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (3, 0)])
+def test_format_matrix_of_a_document_with_no_entries_is_empty(rows, cols):
+    doc = {"rows": rows, "cols": cols, "entries": []}
+    assert matrix_from_json(doc).shape == (rows, cols)
+    assert format_matrix(doc) == ""
 
 
 class TestTextFollowsTheDocument:
@@ -423,6 +458,15 @@ class TestColdStart:
             "pass --renormalize to rescale it\n",
             "False",
         )
+
+    def test_state_usage_error_comes_before_a_bad_tolerance(self):
+        message = (
+            "error: input state norm 0.848528137 deviates from 1 by more than 1e-06; "
+            "pass --renormalize to rescale it\n"
+        )
+        for extra, env in ((["--tol=-1"], {}), ([], {"QTELEPORT_TOL": "-1"})):
+            cold = _run_cold("teleport", "--alpha=0.6", "--beta=0.6", *extra, **env)
+            assert cold == (EXIT_USAGE, "", message, "False")
 
     def test_tolerance_usage_error(self):
         assert _run_cold("dump-tables", QTELEPORT_TOL="abc") == (

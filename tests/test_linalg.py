@@ -78,8 +78,14 @@ class TestKron:
 
     @pytest.mark.parametrize(
         "shapes",
-        [[(2, 2), (2, 2)], [(2, 3), (4, 1)], [(1, 5), (3, 2)], [(2, 2), (3, 1), (2, 4)], [(3,), (2,)], [(0, 2), (2, 2)]],
-        ids=["square", "non-square", "row-by-column", "three-factors", "vectors", "empty"],
+        [
+            [(2, 2), (2, 2)], [(2, 3), (4, 1)], [(1, 5), (3, 2)], [(2, 2), (3, 1), (2, 4)], [(3,), (2,)], [(0, 2), (2, 2)],
+            [(3,), (2, 2)], [(2, 3), (2,)], [(), (2, 2)], [(3,), ()], [(), ()], [(2, 1, 2), (1, 3, 2)], [(2, 3), (2, 1, 2)],
+        ],
+        ids=[
+            "square", "non-square", "row-by-column", "three-factors", "vectors", "empty",
+            "vector-by-matrix", "matrix-by-vector", "scalar-by-matrix", "vector-by-scalar", "scalars", "3-d", "2-d-by-3-d",
+        ],
     )
     def test_equals_numpy_kron_bit_for_bit(self, shapes):
         rng = np.random.default_rng(len(shapes))
