@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import isfinite, prod
+from numbers import Real
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -63,8 +64,8 @@ def kron(*factors: np.ndarray) -> np.ndarray:
 
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
-    """True iff the max entrywise modulus difference is <= tol, a finite tolerance >= 0."""
-    if not (isfinite(tol) and tol >= 0):
+    """True iff the max entrywise modulus difference is <= tol, a finite real tolerance >= 0."""
+    if not (_is_real(tol) and isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     a = np.asarray(a)
     b = np.asarray(b)
@@ -78,6 +79,11 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
 def _is_int(x: object) -> bool:
     # bool is an int subclass but not a count, an index or a seed; 1.0 == 1 is not an integer
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_real(x: object) -> bool:
+    # numpy's bool is not a Real; Python's is, but a flag is not a tolerance
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 def _check_factors(dims: Sequence[int], indices: Iterable[int] = ()) -> tuple[tuple[int, ...], list[int]]:

@@ -11,7 +11,6 @@ touches a physically composite system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import prod
 from typing import ClassVar
 
@@ -108,7 +107,7 @@ class ProtocolReport:
         if len(probs) != 4:
             raise ValueError(f"expected 4 outcome probabilities, got {len(probs)}")
         total_dev = abs(sum(probs) - 1.0)
-        if total_dev > 1e-10:
+        if not total_dev <= 1e-10:  # NaN and inf compare False
             raise ValueError(f"outcome probabilities sum to 1 off by {total_dev:.3e}")
         object.__setattr__(self, "outcome_probabilities", probs)
 
@@ -187,16 +186,13 @@ def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatr
 # Production correction table for resource 1, exactly as published: the
 # outcome-4 entry carries the i*sigma_y phase so the extended operators stay
 # integer-valued. derive_corrections returns the phase-free canonical form.
-_RESOURCE_1_CORRECTIONS = tuple(
-    _frozen(m.astype(complex))
-    for m in (IDENTITY_2.copy(), PAULI_X.copy(), PAULI_Z.copy(), 1j * PAULI_Y)
-)
+_RESOURCE_1_CORRECTIONS = tuple(_frozen(m.astype(complex)) for m in (IDENTITY_2, PAULI_X, PAULI_Z, 1j * PAULI_Y))
 
 # Canonical search order. Adding 0.0 clears the signed zero that -1j leaves
 # in PAULI_Y's real part, so the derived tables print no "-0.".
 _CANDIDATE_PAULIS = tuple(_frozen(p + 0.0) for p in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z))
 
-@lru_cache(maxsize=None)
+
 def derive_corrections(resource_index: int) -> tuple[np.ndarray, ...]:
     """Find each outcome's correction by exhaustive search over the Paulis.
 
@@ -233,11 +229,15 @@ def correction_set(resource_index: int) -> tuple[np.ndarray, ...]:
     return derive_corrections(resource_index)
 
 
-@lru_cache(maxsize=None)
+# The production channel, built once at import; entry j-1 is resource j.
+_KRAUS_SETS = tuple(
+    KrausSet(j, _A_OPS, [kron(identity(4), u) for u in correction_set(j)]) for j in RESOURCE_INDICES
+)
+
+
 def kraus_set(resource_index: int = 1) -> KrausSet:
-    """Measurement and correction operators for the chosen Bell resource."""
-    resource_index = _check_resource_index(resource_index)
-    return KrausSet(resource_index, _A_OPS, [kron(identity(4), u) for u in correction_set(resource_index)])
+    """Measurement and correction operators for the chosen Bell resource: one object per resource."""
+    return _KRAUS_SETS[_check_resource_index(resource_index) - 1]
 
 
 def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:

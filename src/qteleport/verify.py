@@ -8,16 +8,18 @@ second computational path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable
 
 import numpy as np
 
 from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import approx_eq, dagger, identity, kron, partial_trace
+from .linalg import _is_int, _is_real, approx_eq, dagger, identity, kron, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
+    _check_seed,
     bell_basis,
     build_initial_state,
     correction_set,
@@ -195,7 +197,16 @@ def run_checks(
     rng_seed: int = 0,
     corrupt_kraus: Callable[[KrausSet], KrausSet] | None = None,
 ) -> list[CheckResult]:
-    """Run the full invariant suite; returns one result per named check."""
+    """Run the full invariant suite; returns one result per named check.
+
+    count, rng_seed and tol obey the rules of the CLI's --count, --seed and
+    --tol; anything else raises ValueError before any check runs.
+    """
+    if not (_is_int(count) and count >= 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_seed(rng_seed)
+    if not (_is_real(tol) and isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     rng = np.random.default_rng(rng_seed)
     sets = {j: kraus_set(j) for j in RESOURCE_INDICES}
     if corrupt_kraus is not None:

@@ -292,3 +292,12 @@ class TestApproxEq:
     def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="^tolerance must be finite and >= 0"):
             approx_eq(IDENTITY_2, IDENTITY_2, tol)
+
+    @pytest.mark.parametrize("tol", ["x", None, 1j, True, np.True_], ids=["str", "none", "complex", "bool", "numpy-bool"])
+    def test_rejects_a_tolerance_that_is_not_a_real_number(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be finite and >= 0"):
+            approx_eq(IDENTITY_2, IDENTITY_2, tol)
+
+    @pytest.mark.parametrize("tol", [0, np.int64(0), np.float32(1e-12), 1e-12])
+    def test_accepts_python_and_numpy_real_tolerances(self, tol):
+        assert approx_eq(IDENTITY_2, IDENTITY_2, tol)

@@ -1,5 +1,7 @@
 """The teleportation construction: Bell basis, operator sets, channel, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from helpers import (
     haar_qubit_amplitudes,
     initial_state_pattern,
     random_ginibre_density,
+    run_python,
 )
 from qteleport.linalg import approx_eq, dagger, identity, kron, partial_trace
 from qteleport.protocol import (
@@ -232,6 +235,16 @@ class TestKrausSet:
         with pytest.raises(ValueError):
             kraus_set(7)
 
+    def test_one_set_per_resource_whatever_the_integer_spelling(self):
+        assert kraus_set(2) is kraus_set(np.int64(2)) is kraus_set(resource_index=2)
+        assert kraus_set() is kraus_set(1)
+        assert [kraus_set(j).resource_index for j in RESOURCE_INDICES] == list(RESOURCE_INDICES)
+
+    @pytest.mark.parametrize("build", [kraus_set, derive_corrections, correction_set])
+    def test_unhashable_index_raises_the_documented_error(self, build):
+        with pytest.raises(ValueError, match=r"^index must be one of \(1, 2, 3, 4\), got \[1\]$"):
+            build([1])
+
 
 class TestTeleportChannel:
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
@@ -375,16 +388,6 @@ class TestSingleShot:
         assert np.max(np.abs(counts / 2000 - 0.25)) < 0.05
 
 
-@pytest.fixture
-def cold_caches():
-    """Empty the correction and Kraus-set caches around a test that patches the search."""
-    derive_corrections.cache_clear()
-    kraus_set.cache_clear()
-    yield
-    derive_corrections.cache_clear()
-    kraus_set.cache_clear()
-
-
 class TestCorrections:
     def test_resource_1_search_matches_published_up_to_phase(self):
         derived = derive_corrections(1)
@@ -399,7 +402,7 @@ class TestCorrections:
         for found, expected in zip(derived, HAND_DERIVED_CORRECTIONS[resource]):
             assert np.array_equal(found, expected)
 
-    def test_search_picks_candidates_without_building_states(self, cold_caches, monkeypatch):
+    def test_search_picks_candidates_without_building_states(self, monkeypatch):
         def fail(self):
             raise AssertionError(f"the search built a {type(self).__name__}")
 
@@ -410,24 +413,40 @@ class TestCorrections:
             assert all(any(found is c for c in _CANDIDATE_PAULIS) for found in derive_corrections(resource))
 
     @pytest.mark.parametrize("resource, outcome", [(1, 3), (2, 4), (3, 1), (4, 2)])
-    def test_search_names_the_outcome_no_candidate_corrects(self, resource, outcome, cold_caches, monkeypatch):
+    def test_search_names_the_outcome_no_candidate_corrects(self, resource, outcome, monkeypatch):
         # without sigma_z, the first outcome whose correction is sigma_z has no candidate left
         monkeypatch.setattr("qteleport.protocol._CANDIDATE_PAULIS", _CANDIDATE_PAULIS[:3])
         message = f"^no Pauli corrects outcome {outcome} for resource {resource}$"
         with pytest.raises(RuntimeError, match=message):
             derive_corrections(resource)
-        if resource != 1:
-            with pytest.raises(RuntimeError, match=message):
-                kraus_set(resource)
 
-    def test_verify_checks_each_derived_table_against_the_hand_derived_one(self, cold_caches, monkeypatch):
+    def test_import_fails_when_no_candidate_corrects_a_production_outcome(self):
+        # the production sets are built at import, so a failed search stops the import;
+        # resource 1 keeps its published table, and resource 2 is the first one searched
+        result = run_python(
+            "import qteleport.linalg as la\n"
+            "la.PAULI_Z = la.PAULI_X\n"
+            "try:\n"
+            "    import qteleport.protocol\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "no Pauli corrects outcome 4 for resource 2\n"
+
+    def test_verify_checks_each_derived_table_against_the_hand_derived_one(self, monkeypatch):
         search = derive_corrections
 
         def wrong_for_resource_3(resource):
             return search(resource)[::-1] if resource == 3 else search(resource)
 
+        def production(resource):
+            if resource != 3:
+                return kraus_set(resource)
+            return KrausSet(3, kraus_set(3).a_ops, [kron(identity(4), u) for u in wrong_for_resource_3(3)])
+
         # production reads the same wrong table, so comparing the two alone would pass
-        monkeypatch.setattr("qteleport.protocol.derive_corrections", wrong_for_resource_3)
+        monkeypatch.setattr("qteleport.verify.kraus_set", production)
         monkeypatch.setattr("qteleport.verify.derive_corrections", wrong_for_resource_3)
         results = {r.name: r for r in run_checks(count=8)}
         assert results["correction_search"] == CheckResult(
@@ -676,6 +695,14 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(QubitState(1, 0), 1, "both")
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_report_rejects_non_finite_probabilities(self, bad):
+        report = run_protocol(QubitState(1, 0), 1, ENSEMBLE)
+        with pytest.raises(ValueError, match="^outcome probabilities sum to 1 off by"):
+            dataclasses.replace(report, outcome_probabilities=[bad] * 4)
+        with pytest.raises(ValueError, match="^outcome probabilities sum to 1 off by"):
+            dataclasses.replace(report, outcome_probabilities=[0.25, 0.25, 0.25, bad])
+
 
 def _trace_kept_by(ks: KrausSet) -> DensityMatrix:
     """A state whose trace the set's channel keeps, even where sum K^dag K != I.
@@ -793,3 +820,41 @@ class TestStackedPasses:
             monkeypatch.setattr(cls, "__post_init__", counted)
         op(QubitState(0.6, 0.8j), resource)
         assert counts == {DensityMatrix: densities, Ket: kets}
+
+
+class TestRunChecksBoundary:
+    """run_checks refuses, before any check runs, what the CLI's --count, --seed and --tol refuse."""
+
+    MESSAGES = {
+        "count": "count must be a positive integer",
+        "rng_seed": "rng_seed must be a non-negative integer",
+        "tol": "tol must be finite and > 0",
+    }
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            pytest.param(name, value, id=f"{name}={value!r}")
+            for name, values in (
+                ("count", (0, -3, True, 1.5, "10", None)),
+                ("rng_seed", (1.5, -1, True, "1", None)),
+                ("tol", (0, 0.0, -1e-9, float("nan"), float("inf"), "x", None, 1j, True, np.True_)),
+            )
+            for value in values
+        ],
+    )
+    def test_rejects_what_the_cli_rejects_before_any_check(self, name, value, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a check ran before the arguments were checked")
+
+        monkeypatch.setattr("qteleport.verify.kraus_set", fail)
+        with pytest.raises(ValueError, match=f"^{self.MESSAGES[name]}, got "):
+            run_checks(**{name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"count": 1}, {"count": np.int64(10), "rng_seed": np.int64(1)}, {"count": 10, "tol": np.float64(1e-9)},
+         {"count": 10, "tol": 1}],
+    )
+    def test_accepts_python_and_numpy_numbers(self, kwargs):
+        assert all(r.passed for r in run_checks(**kwargs))
