@@ -9,6 +9,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .base import StateValidationError
+
 TOL_APPROX = 1e-12
 TOL_HERM = 1e-10
 TOL_RECON = 1e-10
@@ -86,6 +88,12 @@ def _is_real(x: object) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
 
 
+def _check_type(x: object, cls: type, name: str) -> None:
+    """ValueError naming cls unless x is an instance of it: a wrong type is a bad value, not a crash deeper in."""
+    if not isinstance(x, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+
+
 def _check_factors(dims: Sequence[int], indices: Iterable[int] = ()) -> tuple[tuple[int, ...], list[int]]:
     """dims and factor indices as Python ints.
 
@@ -134,23 +142,32 @@ def partial_trace(a: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np
     return reduced.reshape(d_keep, d_keep)
 
 
+class NotHermitian(StateValidationError):
+    pass
+
+
+def _hermitian(a: object, name: str = "matrix") -> np.ndarray:
+    """a as a complex array; ValueError unless finite, square and non-empty, NotHermitian above TOL_HERM."""
+    a = as_complex_array(a, name)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if a.size == 0:
+        raise ValueError(f"{name} must be non-empty, got shape {a.shape}")
+    herm_dev = float(abs(a - a.conj().T).max())
+    if herm_dev > TOL_HERM:
+        raise NotHermitian(f"{name} is not Hermitian", herm_dev)
+    return a
+
+
 def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a complex Hermitian matrix by LAPACK (numpy eigh).
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
     order and orthonormal eigenvectors as columns, so that
     a == V @ diag(w) @ V.conj().T up to TOL_RECON; a larger reconstruction
-    error raises, as does a deviation from Hermiticity above TOL_HERM.
+    error raises RuntimeError, a deviation from Hermiticity above TOL_HERM NotHermitian.
     """
-    a = as_complex_array(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"eig_hermitian requires a square matrix, got shape {a.shape}")
-    if a.size == 0:
-        raise ValueError(f"eig_hermitian requires a non-empty matrix, got shape {a.shape}")
-    herm_dev = float(abs(a - a.conj().T).max())
-    if herm_dev > TOL_HERM:
-        raise ValueError(f"matrix is not Hermitian: max |a - a^H| = {herm_dev:.3e} > {TOL_HERM:.3e}")
-
+    a = _hermitian(a)
     ascending, vectors = np.linalg.eigh((a + a.conj().T) / 2.0)
     values, vectors = ascending[::-1], vectors[:, ::-1]
 

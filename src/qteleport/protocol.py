@@ -23,7 +23,9 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     _check_factors,
+    _check_type,
     _is_int,
+    as_complex_array,
     dagger,
     identity,
     kron,
@@ -61,7 +63,8 @@ class KrausSet:
 
     Each field is one read-only (4, 8, 8) complex stack, entry i-1 belonging
     to outcome i, built once from a copy of the given operators, so later
-    changes to the caller's arrays do not reach the set. a_ops hold the
+    changes to the caller's arrays do not reach the set. The operators must
+    be finite and resource_index one of RESOURCE_INDICES. a_ops hold the
     doubled Bell projectors (integer entries, a_ops[i]/2 is a rank-2
     projector); b_ops the correction unitaries extended by the identity on
     the measured factors; projectors are P_i = A_i / 2 and kraus the map
@@ -79,7 +82,8 @@ class KrausSet:
     weight: ClassVar[float] = 0.25
 
     def __post_init__(self) -> None:
-        a, b = np.array(self.a_ops, dtype=complex), np.array(self.b_ops, dtype=complex)
+        object.__setattr__(self, "resource_index", _check_resource_index(self.resource_index))
+        a, b = as_complex_array(self.a_ops, "a_ops").copy(), as_complex_array(self.b_ops, "b_ops").copy()
         if a.shape != (4, 8, 8) or b.shape != (4, 8, 8):
             raise ValueError(f"expected four 8x8 a_ops and b_ops, got shapes {a.shape} and {b.shape}")
         for name, stack in (("a_ops", a), ("b_ops", b), ("projectors", a / 2.0), ("kraus", b @ a / 2.0)):
@@ -179,6 +183,7 @@ _BELL_DENSITIES = tuple(_frozen(_doubled_bell_projector(i) / 2.0) for i in RESOU
 
 def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatrix:
     """Pre-protocol state: |psi><psi| on factor 0, Bell resource on factors 1, 2."""
+    _check_type(psi, QubitState, "psi")
     resource_index = _check_resource_index(resource_index)
     return DensityMatrix(kron(ket_to_density(psi.ket()).matrix, _BELL_DENSITIES[resource_index - 1]))
 
@@ -240,21 +245,27 @@ def kraus_set(resource_index: int = 1) -> KrausSet:
     return _KRAUS_SETS[_check_resource_index(resource_index) - 1]
 
 
+def _check_channel_input(rho_in: DensityMatrix, ks: KrausSet) -> None:
+    """ValueError unless rho_in is an 8x8 DensityMatrix and ks a KrausSet."""
+    _check_type(rho_in, DensityMatrix, "rho_in")
+    _check_type(ks, KrausSet, "ks")
+    if rho_in.dim != 8:
+        raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
+
+
 def teleport_channel(rho_in: DensityMatrix, ks: KrausSet) -> DensityMatrix:
     """Ensemble output: sum_i K_i rho K_i-dagger with K_i = B^i A^i / 2.
 
     rho_in is not checked for positivity (see DensityMatrix): a non-PSD input gives a non-PSD output.
     """
-    if rho_in.dim != 8:
-        raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
+    _check_channel_input(rho_in, ks)
     # one batched product; the builtin sum adds the four terms in outcome order
     return DensityMatrix(sum(ks.kraus @ rho_in.matrix @ ks.kraus.conj().transpose(0, 2, 1)))
 
 
 def _corrected_branches(rho_in: DensityMatrix, ks: KrausSet) -> tuple[np.ndarray, tuple[float, ...]]:
     """Unnormalized corrected states B_i (P_i rho P_i) B_i-dagger, stacked, and p_i = Tr(P_i rho P_i)."""
-    if rho_in.dim != 8:
-        raise ValueError(f"channel expects an 8x8 state, got dimension {rho_in.dim}")
+    _check_channel_input(rho_in, ks)
     projected = ks.projectors @ rho_in.matrix @ ks.projectors
     probabilities = tuple(projected.trace(axis1=1, axis2=2).real.tolist())
     return ks.b_ops @ projected @ ks.b_ops.conj().transpose(0, 2, 1), probabilities

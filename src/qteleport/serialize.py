@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .linalg import as_complex_array
+from .linalg import _check_type, as_complex_array
 from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, bell_basis, kraus_set
 from .states import DensityMatrix, Ket, QubitState, validate_density
 
@@ -84,6 +84,7 @@ def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
 
 
 def density_to_json(rho: DensityMatrix) -> dict[str, Any]:
+    _check_type(rho, DensityMatrix, "rho")
     return {"kind": "density", **matrix_to_json(rho.matrix)}
 
 
@@ -94,6 +95,7 @@ def density_from_json(doc: dict[str, Any]) -> DensityMatrix:
 
 
 def ket_to_json(k: Ket) -> dict[str, Any]:
+    _check_type(k, Ket, "k")
     return {"kind": "ket", "amplitudes": [complex_pair(z) for z in k.amplitudes]}
 
 
@@ -104,11 +106,13 @@ def ket_from_json(doc: dict[str, Any]) -> Ket:
 
 
 def qubit_to_json(psi: QubitState) -> dict[str, Any]:
+    _check_type(psi, QubitState, "psi")
     return {"alpha": complex_pair(psi.alpha), "beta": complex_pair(psi.beta)}
 
 
 def report_to_json(report: ProtocolReport) -> dict[str, Any]:
     """ProtocolReport document; key order is part of the format."""
+    _check_type(report, ProtocolReport, "report")
     return {
         "mode": report.mode,
         "seed": report.seed,
@@ -139,6 +143,7 @@ def _branch_to_json(branch: BranchSummary) -> dict[str, Any]:
 
 
 def comparison_to_json(comparison: SwapComparison) -> dict[str, Any]:
+    _check_type(comparison, SwapComparison, "comparison")
     return {
         "input_state": qubit_to_json(comparison.input_state),
         "teleport": _branch_to_json(comparison.teleport),

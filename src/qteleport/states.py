@@ -8,14 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import StateValidationError
-from .linalg import TOL_HERM, as_complex_array, eig_hermitian
+from .linalg import NotHermitian, _check_type, _hermitian, as_complex_array, eig_hermitian
 
 TOL_NORM = 1e-9
 TOL_PSD = 1e-10
-
-
-class NotHermitian(StateValidationError):
-    pass
 
 
 class NotPositive(StateValidationError):
@@ -113,14 +109,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_array(self.matrix, "density matrix").copy()
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {m.shape}")
-        if m.size == 0:
-            raise ValueError(f"density matrix must be non-empty, got shape {m.shape}")
-        herm_dev = float(abs(m - m.conj().T).max())
-        if herm_dev > TOL_HERM:
-            raise NotHermitian("density matrix is not Hermitian", herm_dev)
+        m = _hermitian(self.matrix, "density matrix").copy()
         trace_dev = abs(complex(m.trace()) - 1.0)
         if trace_dev > TOL_NORM:
             raise TraceNotOne("density matrix trace differs from 1", trace_dev)
@@ -148,17 +137,21 @@ def validate_density(m: object) -> DensityMatrix:
 
 def ket_to_density(k: Ket) -> DensityMatrix:
     """Rank-1 projector |k><k|."""
+    _check_type(k, Ket, "k")
     return DensityMatrix(np.outer(k.amplitudes, k.amplitudes.conj()))
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2), between 1/d (maximally mixed) and 1 (pure)."""
+    _check_type(rho, DensityMatrix, "rho")
     m = rho.matrix
     return float((m @ m).trace().real)
 
 
 def fidelity_pure(psi: Ket, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi> of a mixed state with a pure reference."""
+    _check_type(psi, Ket, "psi")
+    _check_type(rho, DensityMatrix, "rho")
     if psi.dim != rho.dim:
         raise ValueError(f"dimension mismatch: ket dim {psi.dim}, density dim {rho.dim}")
     v = psi.amplitudes
@@ -173,6 +166,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     renormalized to sum to 1. A rank-1 state therefore has entropy exactly 0,
     and no term is negative. An eigenvalue below -TOL_PSD raises NotPositive.
     """
+    _check_type(rho, DensityMatrix, "rho")
     eigenvalues, _ = eig_hermitian(rho.matrix)
     if eigenvalues[-1] < -TOL_PSD:
         raise NotPositive("cannot take entropy of a non-PSD operator", float(-eigenvalues[-1]))
@@ -191,5 +185,6 @@ def random_qubit_state(rng: np.random.Generator) -> QubitState:
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random density matrix from a complex Ginibre factor."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
+    # g g^dag by numpy's own loop, not BLAS, whose kernels round differently from CPU to CPU
+    m = np.einsum("ik,jk->ij", g, g.conj())
     return DensityMatrix(m / m.trace().real)

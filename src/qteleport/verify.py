@@ -200,13 +200,16 @@ def run_checks(
     """Run the full invariant suite; returns one result per named check.
 
     count, rng_seed and tol obey the rules of the CLI's --count, --seed and
-    --tol; anything else raises ValueError before any check runs.
+    --tol, and corrupt_kraus is a callable or None; anything else raises
+    ValueError before any check runs.
     """
     if not (_is_int(count) and count >= 1):
         raise ValueError(f"count must be a positive integer, got {count!r}")
     _check_seed(rng_seed)
     if not (_is_real(tol) and isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if corrupt_kraus is not None and not callable(corrupt_kraus):
+        raise ValueError(f"corrupt_kraus must be a callable or None, got {corrupt_kraus!r}")
     rng = np.random.default_rng(rng_seed)
     sets = {j: kraus_set(j) for j in RESOURCE_INDICES}
     if corrupt_kraus is not None:

@@ -15,8 +15,10 @@ import io
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from helpers import run_python
 from qteleport.cli import EXIT_OK, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -91,6 +93,36 @@ def test_json_output_matches_golden_bytes(name):
 def test_text_output_matches_golden_bytes(name):
     expected = (GOLDEN_DIR / f"{name}.txt").read_bytes()
     assert render(TEXT_CASES[name]) == expected
+
+
+def _openblas() -> bool:
+    """True when numpy's BLAS is OpenBLAS, which picks its kernel from OPENBLAS_CORETYPE at load."""
+    try:
+        return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dicts mode
+        return False
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        return set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        return set()
+
+
+# Prescott needs only SSE3; Haswell is an AVX2 kernel, which rounded the Ginibre
+# product of random_density differently when that product went through BLAS.
+@pytest.mark.skipif(not _openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+@pytest.mark.parametrize("suffix, cases", [(".json", CASES), (".txt", TEXT_CASES)], ids=["json", "text"])
+def test_verify_golden_holds_on_other_blas_kernels(kernel, suffix, cases):
+    if kernel == "Haswell" and "avx2" not in _cpu_flags():
+        pytest.skip("this CPU cannot run the Haswell kernel")
+    name = "verify-count25-seed7"
+    proc = run_python("import sys; from qteleport.cli import main; sys.exit(main(sys.argv[1:]))",
+                      *cases[name], OPENBLAS_CORETYPE=kernel)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.encode() == (GOLDEN_DIR / f"{name}{suffix}").read_bytes()
 
 
 def test_every_golden_file_has_a_case():

@@ -211,6 +211,22 @@ class TestKrausSet:
         with pytest.raises(ValueError, match="four 8x8"):
             KrausSet(1, ks.a_ops, ks.b_ops[:, :4, :4])
 
+    @pytest.mark.parametrize("field", ["a_ops", "b_ops"])
+    def test_rejects_non_finite_operators_by_name(self, field):
+        ops = {"a_ops": kraus_set(1).a_ops, "b_ops": kraus_set(1).b_ops, field: np.full((4, 8, 8), np.nan)}
+        with pytest.raises(ValueError, match=f"^{field} contains non-finite entries$"):
+            KrausSet(1, **ops)
+
+    @pytest.mark.parametrize("index", ["x", 7, 0, 1.0, True, None])
+    def test_rejects_a_resource_index_outside_the_four(self, index):
+        ks = kraus_set(1)
+        with pytest.raises(ValueError, match="index must be one of"):
+            KrausSet(index, ks.a_ops, ks.b_ops)
+
+    def test_stores_a_numpy_resource_index_as_a_python_int(self):
+        ks = kraus_set(3)
+        assert type(KrausSet(np.int64(3), ks.a_ops, ks.b_ops).resource_index) is int
+
     def test_corrupted_set_differs_in_one_entry(self):
         ks = kraus_set(2)
         bad = corrupted_for_negative_control(ks)

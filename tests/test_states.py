@@ -338,6 +338,17 @@ class TestDensityMatrixType:
             build()
 
 
+def test_density_matrix_and_eigensolver_report_one_hermiticity_violation():
+    m = np.array([[0.5, 1.0], [0.25, 0.5]], dtype=complex)
+    with pytest.raises(NotHermitian) as built:
+        DensityMatrix(m)
+    with pytest.raises(NotHermitian) as solved:
+        eig_hermitian(m)
+    assert type(built.value) is type(solved.value)
+    assert built.value.violation == solved.value.violation == 0.75
+    assert str(solved.value) == "matrix is not Hermitian (violation 7.500e-01)"
+
+
 NON_FINITE_ENTRY_CASES = [
     (lambda x: QubitState(x, 1), "qubit amplitudes"),
     (lambda x: DensityMatrix(np.array([[x, 0], [0, 1]])), "density matrix"),
