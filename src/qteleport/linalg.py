@@ -15,16 +15,22 @@ TOL_APPROX = 1e-12
 TOL_HERM = 1e-10
 TOL_RECON = 1e-10
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-for _m in (IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z):
-    _m.setflags(write=False)
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """m, made read-only in place: the one rule for every array the library shares or stores."""
+    m.setflags(write=False)
+    return m
+
+
+IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
+PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
 def identity(dim: int) -> np.ndarray:
+    """The dim x dim complex identity; ValueError unless dim is a non-negative integer."""
+    _check_dim(dim)
     return np.eye(dim, dtype=complex)
 
 
@@ -43,8 +49,8 @@ def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    """Conjugate transpose of a finite array of numbers."""
+    return as_complex_array(a).conj().T
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
@@ -66,11 +72,11 @@ def kron(*factors: np.ndarray) -> np.ndarray:
 
 
 def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
-    """True iff the max entrywise modulus difference is <= tol, a finite real tolerance >= 0."""
+    """True iff the max entrywise modulus difference of two finite arrays is <= tol, a finite real tolerance >= 0."""
     if not (_is_real(tol) and isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = as_complex_array(a, "a")
+    b = as_complex_array(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.size == 0:
@@ -81,6 +87,12 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
 def _is_int(x: object) -> bool:
     # bool is an int subclass but not a count, an index or a seed; 1.0 == 1 is not an integer
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_dim(dim: object) -> None:
+    """ValueError unless dim, a matrix dimension, is a non-negative integer."""
+    if not (_is_int(dim) and dim >= 0):
+        raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
 
 
 def _is_real(x: object) -> bool:

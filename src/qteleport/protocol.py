@@ -24,6 +24,7 @@ from .linalg import (
     PAULI_Z,
     _check_factors,
     _check_type,
+    _frozen,
     _is_int,
     as_complex_array,
     dagger,
@@ -46,7 +47,7 @@ THREE_QUBITS = (2, 2, 2)
 MIN_BRANCH_PROBABILITY = 1e-14
 
 # Bell amplitude patterns scaled by sqrt(2); row i-1 is vector i of the basis.
-_BELL_PATTERNS = np.array(
+_BELL_PATTERNS = _frozen(np.array(
     [
         [1, 0, 0, 1],
         [0, 1, 1, 0],
@@ -54,7 +55,7 @@ _BELL_PATTERNS = np.array(
         [0, 1, -1, 0],
     ],
     dtype=complex,
-)
+))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +108,9 @@ class ProtocolReport:
     output_entropy_bits: float
 
     def __post_init__(self) -> None:
+        _check_type(self.input_state, QubitState, "input_state")
+        for name in ("output_density", "marginal_12", "marginal_3"):
+            _check_type(getattr(self, name), DensityMatrix, name)
         probs = tuple(float(p) for p in self.outcome_probabilities)
         if len(probs) != 4:
             raise ValueError(f"expected 4 outcome probabilities, got {len(probs)}")
@@ -125,7 +129,6 @@ class ProtocolReport:
 class BranchSummary:
     """Marginals and diagnostics of one comparison branch."""
 
-    label: str
     requires_bell_resource: bool
     marginal_12: DensityMatrix
     marginal_3: DensityMatrix
@@ -135,6 +138,10 @@ class BranchSummary:
     entropy_3_bits: float
     fidelity_3: float
 
+    def __post_init__(self) -> None:
+        for name in ("marginal_12", "marginal_3"):
+            _check_type(getattr(self, name), DensityMatrix, name)
+
 
 @dataclass(frozen=True, eq=False)
 class SwapComparison:
@@ -143,6 +150,11 @@ class SwapComparison:
     input_state: QubitState
     teleport: BranchSummary
     swap: BranchSummary
+
+    def __post_init__(self) -> None:
+        _check_type(self.input_state, QubitState, "input_state")
+        for name in ("teleport", "swap"):
+            _check_type(getattr(self, name), BranchSummary, name)
 
 
 def _check_resource_index(index: int) -> int:
@@ -156,11 +168,6 @@ def _check_seed(rng_seed: object) -> None:
     """ValueError unless rng_seed is a non-negative Python or numpy integer."""
     if not _is_int(rng_seed) or rng_seed < 0:
         raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
-
-
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
 
 
 def bell_basis() -> tuple[Ket, Ket, Ket, Ket]:
@@ -393,15 +400,9 @@ def swap_gate(dims: tuple[int, ...], p: int, q: int) -> np.ndarray:
 SWAP_0_2 = _frozen(swap_gate(THREE_QUBITS, 0, 2))
 
 
-def _summarize_branch(
-    label: str,
-    requires_bell_resource: bool,
-    output: DensityMatrix,
-    psi: QubitState,
-) -> BranchSummary:
+def _summarize_branch(requires_bell_resource: bool, output: DensityMatrix, psi: QubitState) -> BranchSummary:
     marginal_12, marginal_3 = _marginals(output)
     return BranchSummary(
-        label=label,
         requires_bell_resource=requires_bell_resource,
         marginal_12=marginal_12,
         marginal_3=marginal_3,
@@ -426,6 +427,6 @@ def compare_swap_vs_teleport(psi: QubitState) -> SwapComparison:
     swapped = DensityMatrix(SWAP_0_2 @ rho_in.matrix @ dagger(SWAP_0_2))
     return SwapComparison(
         input_state=psi,
-        teleport=_summarize_branch("teleport", True, teleported, psi),
-        swap=_summarize_branch("swap", False, swapped, psi),
+        teleport=_summarize_branch(True, teleported, psi),
+        swap=_summarize_branch(False, swapped, psi),
     )

@@ -9,7 +9,8 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Any
+from numbers import Complex
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -27,6 +28,7 @@ def _number(x: float) -> float | int:
 
 
 def complex_pair(z: complex) -> list[float | int]:
+    _check_type(z, Complex, "z")
     return [_number(z.real), _number(z.imag)]
 
 
@@ -151,8 +153,12 @@ def comparison_to_json(comparison: SwapComparison) -> dict[str, Any]:
     }
 
 
-def checks_to_json(results: list[Any], count: int, seed: int) -> dict[str, Any]:
-    """verify document of run_checks results; any objects with name, passed and detail will do."""
+def checks_to_json(results: Sequence[Any], count: int, seed: int) -> dict[str, Any]:
+    """verify document of run_checks results: a list or tuple of any objects with name, passed and detail."""
+    if not isinstance(results, (list, tuple)) or not all(
+        hasattr(r, field) for r in results for field in ("name", "passed", "detail")
+    ):
+        raise ValueError("results must be a list or tuple of objects with name, passed and detail")
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
     return {"count": count, "seed": seed, "passed": all(c["passed"] for c in checks), "checks": checks}
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import StateValidationError
-from .linalg import NotHermitian, _check_type, _hermitian, as_complex_array, eig_hermitian
+from .linalg import NotHermitian, _check_dim, _check_type, _frozen, _hermitian, as_complex_array, eig_hermitian
 
 TOL_NORM = 1e-9
 TOL_PSD = 1e-10
@@ -50,8 +50,7 @@ def _unit_amplitudes(values: object, name: str, renormalize: bool = False) -> np
         deviation = abs(scale * norm * scale * norm - 1.0)
         if deviation > TOL_NORM:
             raise StateValidationError(f"{name} are not normalized", deviation)
-    v.setflags(write=False)
-    return v
+    return _frozen(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +112,20 @@ class DensityMatrix:
         trace_dev = abs(complex(m.trace()) - 1.0)
         if trace_dev > TOL_NORM:
             raise TraceNotOne("density matrix trace differs from 1", trace_dev)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _psd_spectrum(rho: DensityMatrix) -> np.ndarray:
+    """The eigenvalues of rho, descending; NotPositive, with its size, if one lies below -TOL_PSD."""
+    eigenvalues, _ = eig_hermitian(rho.matrix)
+    lowest = float(eigenvalues[-1])
+    if lowest < -TOL_PSD:
+        raise NotPositive("density matrix has a negative eigenvalue", -lowest)
+    return eigenvalues
 
 
 def validate_density(m: object) -> DensityMatrix:
@@ -128,10 +135,7 @@ def validate_density(m: object) -> DensityMatrix:
     violation; returns the validated DensityMatrix otherwise.
     """
     rho = DensityMatrix(m)
-    eigenvalues, _ = eig_hermitian(rho.matrix)
-    lowest = float(eigenvalues[-1])
-    if lowest < -TOL_PSD:
-        raise NotPositive("density matrix has a negative eigenvalue", -lowest)
+    _psd_spectrum(rho)
     return rho
 
 
@@ -167,9 +171,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     and no term is negative. An eigenvalue below -TOL_PSD raises NotPositive.
     """
     _check_type(rho, DensityMatrix, "rho")
-    eigenvalues, _ = eig_hermitian(rho.matrix)
-    if eigenvalues[-1] < -TOL_PSD:
-        raise NotPositive("cannot take entropy of a non-PSD operator", float(-eigenvalues[-1]))
+    eigenvalues = _psd_spectrum(rho)
     support = eigenvalues[eigenvalues > TOL_PSD]
     p = support / np.sum(support)
     return float(np.sum(p * np.log2(1.0 / p)))
@@ -177,6 +179,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def random_qubit_state(rng: np.random.Generator) -> QubitState:
     """Haar-random pure qubit state."""
+    _check_type(rng, np.random.Generator, "rng")
     raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     raw /= np.linalg.norm(raw)
     return QubitState(raw[0], raw[1])
@@ -184,6 +187,8 @@ def random_qubit_state(rng: np.random.Generator) -> QubitState:
 
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random density matrix from a complex Ginibre factor."""
+    _check_type(rng, np.random.Generator, "rng")
+    _check_dim(dim)  # 0 passes, and DensityMatrix names the empty matrix
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     # g g^dag by numpy's own loop, not BLAS, whose kernels round differently from CPU to CPU
     m = np.einsum("ik,jk->ij", g, g.conj())

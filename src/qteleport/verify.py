@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import _is_int, _is_real, approx_eq, dagger, identity, kron, partial_trace
+from .linalg import _check_type, _is_int, _is_real, approx_eq, dagger, identity, kron, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
@@ -52,6 +52,7 @@ def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
     Breaks idempotence and completeness at once; used to prove the checks
     can fail.
     """
+    _check_type(ks, KrausSet, "ks")
     a = ks.a_ops.copy()
     a[0, 0, 6] = -a[0, 0, 6] if a[0, 0, 6] != 0 else 1.0
     return KrausSet(ks.resource_index, a, ks.b_ops)

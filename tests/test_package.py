@@ -1,7 +1,10 @@
 """The package namespace: what `from qteleport import *` exports."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -59,37 +62,131 @@ def test_not_hermitian_is_one_class_defined_beside_its_check():
     assert qteleport.NotHermitian is states.NotHermitian is linalg.NotHermitian
 
 
+def _shared_arrays(name, value):
+    """(name, array) for value if it is an array, a tuple of them or a KrausSet."""
+    if isinstance(value, np.ndarray):
+        yield name, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _shared_arrays(f"{name}[{i}]", item)
+    elif isinstance(value, protocol.KrausSet):
+        for f in dataclasses.fields(value):
+            yield from _shared_arrays(f"{name}.{f.name}", getattr(value, f.name))
+
+
+def test_every_array_the_library_shares_is_read_only():
+    qteleport.IDENTITY_2  # noqa: B018 -- binds the lazily exported names
+    modules = [qteleport, *(importlib.import_module(f"qteleport.{m.name}") for m in pkgutil.iter_modules(qteleport.__path__))]
+    found = dict(
+        item for module in modules for attr, value in vars(module).items()
+        for item in _shared_arrays(f"{module.__name__}.{attr}", value)
+    )
+    found.update((f"bell_basis()[{i}].amplitudes", k.amplitudes) for i, k in enumerate(protocol.bell_basis()))
+    assert {"qteleport.protocol._BELL_PATTERNS", "qteleport.protocol._KRAUS_SETS[3].kraus"} <= set(found)
+    assert [name for name, array in found.items() if array.flags.writeable] == []
+
+
 _RHO_8 = states.DensityMatrix(np.eye(8) / 8)
 _KS = protocol.kraus_set(1)
 
-# One row per public entry that used to fail with a stray AttributeError or
-# TypeError on a wrong-typed argument: (call, the type its error must name).
+
+def _must_be_a(type_name):
+    return rf" must be a {type_name}\b"
+
+
+# One row per public entry, for a wrong-typed argument: (call, a pattern of
+# its message naming what was expected). A key is the entry's name, with a
+# "-suffix" where one entry has more than one row.
 WRONG_TYPE_CASES = {
-    "run_protocol": (lambda: protocol.run_protocol((0.6, 0.8)), "QubitState"),
-    "compare_swap_vs_teleport": (lambda: protocol.compare_swap_vs_teleport(None), "QubitState"),
-    "build_initial_state": (lambda: protocol.build_initial_state("x"), "QubitState"),
-    "teleport_channel-state": (lambda: protocol.teleport_channel(np.eye(8) / 8, _KS), "DensityMatrix"),
-    "teleport_channel-set": (lambda: protocol.teleport_channel(_RHO_8, 1), "KrausSet"),
-    "measurement_branches": (lambda: protocol.measurement_branches(_RHO_8, 1), "KrausSet"),
-    "single_shot": (lambda: protocol.single_shot(np.eye(8) / 8, _KS, 0), "DensityMatrix"),
-    "fidelity_pure": (lambda: states.fidelity_pure([1, 0], states.DensityMatrix(np.eye(2) / 2)), "Ket"),
-    "purity": (lambda: states.purity(np.eye(2) / 2), "DensityMatrix"),
-    "von_neumann_entropy": (lambda: states.von_neumann_entropy(np.eye(2) / 2), "DensityMatrix"),
-    "ket_to_density": (lambda: states.ket_to_density([1, 0]), "Ket"),
-    "report_to_json": (lambda: serialize.report_to_json(None), "ProtocolReport"),
-    "comparison_to_json": (lambda: serialize.comparison_to_json(None), "SwapComparison"),
-    "density_to_json": (lambda: serialize.density_to_json(np.eye(2) / 2), "DensityMatrix"),
-    "ket_to_json": (lambda: serialize.ket_to_json([1, 0]), "Ket"),
-    "qubit_to_json": (lambda: serialize.qubit_to_json((0.6, 0.8)), "QubitState"),
-    "run_checks": (lambda: verify.run_checks(corrupt_kraus=1), "callable"),
+    "run_protocol": (lambda: protocol.run_protocol((0.6, 0.8)), _must_be_a("QubitState")),
+    "compare_swap_vs_teleport": (lambda: protocol.compare_swap_vs_teleport(None), _must_be_a("QubitState")),
+    "build_initial_state": (lambda: protocol.build_initial_state("x"), _must_be_a("QubitState")),
+    "teleport_channel-state": (lambda: protocol.teleport_channel(np.eye(8) / 8, _KS), _must_be_a("DensityMatrix")),
+    "teleport_channel-set": (lambda: protocol.teleport_channel(_RHO_8, 1), _must_be_a("KrausSet")),
+    "measurement_branches": (lambda: protocol.measurement_branches(_RHO_8, 1), _must_be_a("KrausSet")),
+    "single_shot": (lambda: protocol.single_shot(np.eye(8) / 8, _KS, 0), _must_be_a("DensityMatrix")),
+    "fidelity_pure": (lambda: states.fidelity_pure([1, 0], states.DensityMatrix(np.eye(2) / 2)), _must_be_a("Ket")),
+    "purity": (lambda: states.purity(np.eye(2) / 2), _must_be_a("DensityMatrix")),
+    "von_neumann_entropy": (lambda: states.von_neumann_entropy(np.eye(2) / 2), _must_be_a("DensityMatrix")),
+    "ket_to_density": (lambda: states.ket_to_density([1, 0]), _must_be_a("Ket")),
+    "report_to_json": (lambda: serialize.report_to_json(None), _must_be_a("ProtocolReport")),
+    "comparison_to_json": (lambda: serialize.comparison_to_json(None), _must_be_a("SwapComparison")),
+    "density_to_json": (lambda: serialize.density_to_json(np.eye(2) / 2), _must_be_a("DensityMatrix")),
+    "ket_to_json": (lambda: serialize.ket_to_json([1, 0]), _must_be_a("Ket")),
+    "qubit_to_json": (lambda: serialize.qubit_to_json((0.6, 0.8)), _must_be_a("QubitState")),
+    "run_checks": (lambda: verify.run_checks(corrupt_kraus=1), _must_be_a("callable")),
+    "checks_to_json-list": (lambda: serialize.checks_to_json(None, 1, 1), _must_be_a("list")),
+    "checks_to_json-items": (lambda: serialize.checks_to_json([1], 1, 1), _must_be_a("list or tuple of objects with name")),
+    "complex_pair": (lambda: serialize.complex_pair(None), _must_be_a("Complex")),
+    "approx_eq-none": (lambda: linalg.approx_eq(None, None), _must_be_a("regular array")),
+    "approx_eq-str": (lambda: linalg.approx_eq("a", "b"), _must_be_a("regular array")),
+    "identity": (lambda: linalg.identity("x"), _must_be_a("non-negative integer")),
+    "dagger": (lambda: linalg.dagger(None), _must_be_a("regular array")),
+    "random_qubit_state": (lambda: states.random_qubit_state(None), _must_be_a("Generator")),
+    "random_density-rng": (lambda: states.random_density(None, 8), _must_be_a("Generator")),
+    "random_density-dim": (lambda: states.random_density(np.random.default_rng(0), "x"), _must_be_a("non-negative integer")),
+    "corrupted_for_negative_control": (lambda: verify.corrupted_for_negative_control(1), _must_be_a("KrausSet")),
+    "ProtocolReport": (
+        lambda: protocol.ProtocolReport(None, 1, "ensemble", 0, None, (0.25,) * 4, None, None, None, 1.0, 0.0),
+        _must_be_a("QubitState"),
+    ),
+    "SwapComparison": (lambda: protocol.SwapComparison(None, None, None), _must_be_a("QubitState")),
+    "BranchSummary": (lambda: protocol.BranchSummary(True, None, None, 1.0, 0.0, 1.0, 0.0, 1.0), _must_be_a("DensityMatrix")),
+    "DensityMatrix": (lambda: states.DensityMatrix(None), _must_be_a("regular array")),
+    "Ket": (lambda: states.Ket(None), _must_be_a("regular array")),
+    "QubitState": (lambda: states.QubitState(None, 1), _must_be_a("regular array")),
+    "KrausSet": (lambda: protocol.KrausSet(1, None, _KS.b_ops), _must_be_a("regular array")),
+    "ket": (lambda: states.ket("x"), _must_be_a("regular array")),
+    "qubit_state": (lambda: states.qubit_state(None, None), _must_be_a("regular array")),
+    "validate_density": (lambda: states.validate_density("x"), _must_be_a("regular array")),
+    "eig_hermitian": (lambda: linalg.eig_hermitian(None), _must_be_a("regular array")),
+    "kron": (lambda: linalg.kron(None), _must_be_a("regular array")),
+    "partial_trace": (lambda: linalg.partial_trace(np.eye(2), "x", {0}), _must_be_a("non-empty tuple")),
+    "swap_gate": (lambda: protocol.swap_gate(None, 0, 1), _must_be_a("non-empty tuple")),
+    "kraus_set": (lambda: protocol.kraus_set("x"), r" must be one of \(1, 2, 3, 4\)"),
+    "correction_set": (lambda: protocol.correction_set(None), r" must be one of \(1, 2, 3, 4\)"),
+    "derive_corrections": (lambda: protocol.derive_corrections(1.0), r" must be one of \(1, 2, 3, 4\)"),
+    "matrix_to_json": (lambda: serialize.matrix_to_json(None), _must_be_a("regular array")),
+    "matrix_from_json": (lambda: serialize.matrix_from_json(None), "expected a JSON object"),
+    "density_from_json": (lambda: serialize.density_from_json([]), "expected a JSON object"),
+    "ket_from_json": (lambda: serialize.ket_from_json("x"), "expected a JSON object"),
+}
+
+# Public callables without a row, each with the reason.
+NO_WRONG_TYPE_ROW = {
+    "StateValidationError": "an exception class: its arguments are the raiser's, not a caller's input",
+    "NotHermitian": "an exception class",
+    "NotPositive": "an exception class",
+    "TraceNotOne": "an exception class",
+    "bell_basis": "takes no arguments",
+    "tables_to_json": "takes no arguments",
+    "dumps": "anything it cannot write goes to json.dumps, whose output and errors it keeps by contract",
 }
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_TYPE_CASES))
 def test_a_wrong_typed_argument_raises_value_error_naming_the_type(name):
     call, expected = WRONG_TYPE_CASES[name]
-    with pytest.raises(ValueError, match=rf" must be a {expected}\b"):
+    with pytest.raises(ValueError, match=expected):
         call()
+
+
+def _public_callables():
+    """The functions and classes of __all__, and the public functions of serialize and verify."""
+    names = {name for name in qteleport.__all__ if callable(getattr(qteleport, name))}
+    for module in (serialize, verify):
+        names |= {
+            name for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_")
+        }
+    return names
+
+
+def test_every_public_callable_has_a_wrong_type_row():
+    public = _public_callables()
+    covered = {key.split("-")[0] for key in WRONG_TYPE_CASES}
+    assert sorted(public - covered - set(NO_WRONG_TYPE_ROW)) == []
+    assert set(NO_WRONG_TYPE_ROW) <= public and not covered & set(NO_WRONG_TYPE_ROW)
 
 
 def test_first_use_loads_only_the_library_layers():

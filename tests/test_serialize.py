@@ -1,5 +1,6 @@
 """JSON wire formats: schemas, round trips, 12-digit decimal printing."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -10,7 +11,17 @@ from hypothesis import strategies as st
 
 from helpers import run_python
 from qteleport.linalg import identity
-from qteleport.protocol import ENSEMBLE, SINGLE_SHOT, SWAP_0_2, compare_swap_vs_teleport, kraus_set, run_protocol
+from qteleport.protocol import (
+    ENSEMBLE,
+    SINGLE_SHOT,
+    SWAP_0_2,
+    BranchSummary,
+    ProtocolReport,
+    SwapComparison,
+    compare_swap_vs_teleport,
+    kraus_set,
+    run_protocol,
+)
 from qteleport.serialize import (
     _number,
     checks_to_json,
@@ -201,6 +212,16 @@ class TestReportDocuments:
             ],
         }
         assert checks_to_json(results[:1], 5, 2)["passed"] is True
+        assert checks_to_json(tuple(results), 5, 2) == checks_to_json(results, 5, 2)
+
+    def test_each_report_field_is_a_key_its_writer_emits(self):
+        # a field that no document emits is unread; paper_extension is derived, not stored
+        fields = lambda cls: {f.name for f in dataclasses.fields(cls)}
+        report = report_to_json(run_protocol(QubitState(0.6, 0.8j), 2, ENSEMBLE))
+        comparison = comparison_to_json(compare_swap_vs_teleport(QubitState(0.6, 0.8j)))
+        assert fields(ProtocolReport) == set(report) - {"paper_extension"}
+        assert fields(SwapComparison) == set(comparison)
+        assert fields(BranchSummary) == set(comparison["teleport"]) == set(comparison["swap"])
 
     def test_tables_document_holds_the_resource_1_operators(self):
         doc = tables_to_json()

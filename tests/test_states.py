@@ -349,6 +349,17 @@ def test_density_matrix_and_eigensolver_report_one_hermiticity_violation():
     assert str(solved.value) == "matrix is not Hermitian (violation 7.500e-01)"
 
 
+def test_validation_and_entropy_report_one_positivity_violation():
+    m = np.diag([1.5, -0.5]).astype(complex)
+    errors = []
+    for check in (lambda: validate_density(m), lambda: von_neumann_entropy(DensityMatrix(m))):
+        with pytest.raises(NotPositive) as excinfo:
+            check()
+        errors.append(excinfo.value)
+    assert [str(e) for e in errors] == ["density matrix has a negative eigenvalue (violation 5.000e-01)"] * 2
+    assert [e.violation for e in errors] == [0.5, 0.5]
+
+
 NON_FINITE_ENTRY_CASES = [
     (lambda x: QubitState(x, 1), "qubit amplitudes"),
     (lambda x: DensityMatrix(np.array([[x, 0], [0, 1]])), "density matrix"),

@@ -1,0 +1,221 @@
+"""Mutation gate: every mutant below is a one-line fault that the test suite must catch.
+
+    python3 tools/mutants.py
+
+A mutant is an exact replacement (file, old, new) in the library's sources.
+First the unmutated suite must pass in a copy, so that a failure can be laid
+to a mutant. Then, for each mutant, src/, tests/ and pyproject.toml are
+copied to a new temporary directory, `old` is replaced by `new` there, and
+`python -m pytest -x -q tests` runs against the copy; it must fail. `old`
+must occur exactly once in its file, so a refactor that moves an anchor
+fails the gate loudly instead of leaving a mutant that tests nothing, and
+the mutated file must still compile.
+Exit status: 0 when every mutant is killed; 1 when one survives or an
+anchor is missing, each named on stderr, or when the unmutated suite fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 600
+
+LINALG = "src/qteleport/linalg.py"
+STATES = "src/qteleport/states.py"
+PROTOCOL = "src/qteleport/protocol.py"
+SERIALIZE = "src/qteleport/serialize.py"
+VERIFY = "src/qteleport/verify.py"
+CLI = "src/qteleport/cli.py"
+
+# name -> (file, old, new); the families earlier hand-run checks used, and the rules of each layer
+MUTANTS: dict[str, tuple[str, str, str]] = {
+    # linalg
+    "kron-axes-swapped": (
+        LINALG,
+        "np.multiply(a[(slice(None), None) * nd], b[(None, slice(None)) * nd])",
+        "np.multiply(a[(None, slice(None)) * nd], b[(slice(None), None) * nd])",
+    ),
+    "read-only-rule-dropped": (LINALG, "    m.setflags(write=False)\n", "    m.setflags(write=True)\n"),
+    "bool-counts-as-int": (
+        LINALG,
+        "return isinstance(x, (int, np.integer)) and not isinstance(x, bool)",
+        "return isinstance(x, (int, np.integer))",
+    ),
+    "type-check-dropped": (LINALG, "    if not isinstance(x, cls):\n", "    if x is cls:\n"),
+    "tolerance-finiteness-dropped": (
+        LINALG,
+        "if not (_is_real(tol) and isfinite(tol) and tol >= 0):",
+        "if not (_is_real(tol) and tol >= 0):",
+    ),
+    "keep-guard-dropped": (LINALG, "    if not kept:\n", "    if kept is None:\n"),
+    "empty-matrix-accepted": (LINALG, "    if a.size == 0:\n        raise", "    if a.size < 0:\n        raise"),
+    "hermiticity-bound-loosened": (LINALG, "if herm_dev > TOL_HERM:", "if herm_dev > 1.0:"),
+    "dim-rule-dropped": (LINALG, "if not (_is_int(dim) and dim >= 0):", "if not (True):"),
+    # states
+    "norm-as-squared-sum": (
+        STATES,
+        "norm = abs(complex(norm, abs(z)))",
+        "norm = (norm * norm + abs(z) * abs(z)) ** 0.5",
+    ),
+    "renormalize-by-norm-squared": (STATES, "        parts /= norm\n", "        parts /= norm * norm\n"),
+    "trace-bound-loosened": (STATES, "if trace_dev > TOL_NORM:", "if trace_dev > 1.0:"),
+    "positivity-bound-loosened": (STATES, "if lowest < -TOL_PSD:", "if lowest < -1.0:"),
+    "entropy-support-threshold": (
+        STATES,
+        "support = eigenvalues[eigenvalues > TOL_PSD]",
+        "support = eigenvalues[eigenvalues > 0]",
+    ),
+    # protocol
+    "bell-pattern-sign": (PROTOCOL, "        [0, 1, -1, 0],\n", "        [0, -1, 1, 0],\n"),
+    "projectors-from-the-module": (PROTOCOL, '("projectors", a / 2.0)', '("projectors", _A_OPS / 2.0)'),
+    "channel-ignores-its-set": (
+        PROTOCOL,
+        "return DensityMatrix(sum(ks.kraus @ rho_in.matrix",
+        "return DensityMatrix(sum(kraus_set(ks.resource_index).kraus @ rho_in.matrix",
+    ),
+    "projection-one-sided": (
+        PROTOCOL,
+        "projected = ks.projectors @ rho_in.matrix @ ks.projectors",
+        "projected = ks.projectors @ rho_in.matrix",
+    ),
+    "correction-conj-dropped": (
+        PROTOCOL,
+        "@ projected @ ks.b_ops.conj().transpose(0, 2, 1)",
+        "@ projected @ ks.b_ops.transpose(0, 2, 1)",
+    ),
+    "sampled-branch-ignored": (
+        PROTOCOL,
+        "DensityMatrix(corrected[chosen] / probabilities[chosen])",
+        "DensityMatrix(corrected[0] / probabilities[0])",
+    ),
+    "single-shot-seed-unchecked": (
+        PROTOCOL,
+        "        _check_seed(rng_seed)\n    _, outcome, state",
+        "        pass\n    _, outcome, state",
+    ),
+    "probability-sum-accepts-nan": (PROTOCOL, "if not total_dev <= 1e-10:", "if total_dev > 1e-10:"),
+    "marginal-transposed": (PROTOCOL, 'np.einsum("ajak->jk", tensor)', 'np.einsum("ajak->kj", tensor)'),
+    "swap-gate-without-swap": (PROTOCOL, ".swapaxes(p, q)", ".swapaxes(p, p)"),
+    # serialize
+    "entropy-unrounded": (
+        SERIALIZE,
+        '"output_entropy_bits": _number(report.output_entropy_bits)',
+        '"output_entropy_bits": report.output_entropy_bits',
+    ),
+    "zero-fast-path-float": (SERIALIZE, "[_number(re) if re else 0,", "[_number(re) if re else 0.0,"),
+    "circular-fallback-dropped": (
+        SERIALIZE,
+        "except (_Unsupported, RecursionError):",
+        "except _Unsupported:",
+    ),
+    # verify and the CLI
+    "corruption-flips-nothing": (
+        VERIFY,
+        "a[0, 0, 6] = -a[0, 0, 6] if a[0, 0, 6] != 0 else 1.0",
+        "a[0, 0, 6] = a[0, 0, 6]",
+    ),
+    "failed-check-exits-zero": (CLI, "    return EXIT_CHECK_FAILED\n", "    return EXIT_OK\n"),
+}
+
+# name -> (file, old, new, why no test can tell the mutant from the original); listed, never run
+EQUIVALENT: dict[str, tuple[str, str, str, str]] = {
+    "symmetrization-operands-swapped": (
+        LINALG,
+        "np.linalg.eigh((a + a.conj().T) / 2.0)",
+        "np.linalg.eigh((a.conj().T + a) / 2.0)",
+        "IEEE addition is commutative, so both sums are the same doubles",
+    ),
+    "seed-bound-as-minus-one": (
+        PROTOCOL,
+        "if not _is_int(rng_seed) or rng_seed < 0:",
+        "if not _is_int(rng_seed) or rng_seed <= -1:",
+        "on integers, which are all that pass _is_int, x < 0 and x <= -1 agree",
+    ),
+}
+
+
+def bad_entries() -> list[str]:
+    """Mutants, equivalent ones too, whose old text does not occur exactly once or whose result does not compile.
+
+    A mutant that breaks the syntax is killed by any suite, so it tests nothing.
+    """
+    table = {**MUTANTS, **{name: entry[:3] for name, entry in EQUIVALENT.items()}}
+    bad = []
+    for name, (file, old, new) in table.items():
+        text = (ROOT / file).read_text(encoding="utf-8")
+        try:
+            compile(text.replace(old, new), file, "exec")
+        except SyntaxError:
+            bad.append(name)
+            continue
+        if text.count(old) != 1:
+            bad.append(name)
+    return bad
+
+
+def mutated_copy(dest: Path, mutant: tuple[str, str, str] | None) -> None:
+    """Copy the tested tree to dest and apply mutant there."""
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        else:
+            shutil.copy2(src, dest / name)
+    if mutant is not None:
+        file, old, new = mutant
+        path = dest / file
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+
+
+def suite_fails(mutant: tuple[str, str, str] | None) -> bool:
+    """True iff the test suite fails (or times out) on a copy of the tree with mutant applied."""
+    with tempfile.TemporaryDirectory(prefix="qteleport-mutant-") as tmp:
+        dest = Path(tmp)
+        mutated_copy(dest, mutant)
+        env = {**os.environ, "PYTHONPATH": str(dest / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "tests"],
+                cwd=dest, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True
+        return proc.returncode != 0
+
+
+def main() -> int:
+    bad = bad_entries()
+    if bad:
+        for name in bad:
+            print(f"anchor missing or not unique, or mutant does not compile: {name}", file=sys.stderr)
+        return 1
+    start = time.perf_counter()
+    if suite_fails(None):
+        print("the unmutated test suite fails; no mutant can be judged", file=sys.stderr)
+        return 1
+    survived = []
+    for name in MUTANTS:
+        t0 = time.perf_counter()
+        killed = suite_fails(MUTANTS[name])
+        if not killed:
+            survived.append(name)
+        print(f"{'killed' if killed else 'SURVIVED'} {name} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    print(
+        f"{len(MUTANTS) - len(survived)}/{len(MUTANTS)} mutants killed, "
+        f"{len(EQUIVALENT)} equivalent not run, {time.perf_counter() - start:.0f} s"
+    )
+    for name in survived:
+        print(f"survived: {name}", file=sys.stderr)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
