@@ -103,7 +103,8 @@ def _is_real(x: object) -> bool:
 def _check_type(x: object, cls: type, name: str) -> None:
     """ValueError naming cls unless x is an instance of it: a wrong type is a bad value, not a crash deeper in."""
     if not isinstance(x, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+        # the repr names a type outside builtins with its module: numpy 2 calls its bool_ "bool" too
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(x)!r}")
 
 
 def _check_factors(dims: Sequence[int], indices: Iterable[int] = ()) -> tuple[tuple[int, ...], list[int]]:

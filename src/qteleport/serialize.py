@@ -15,7 +15,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .linalg import _check_type, as_complex_array
-from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, bell_basis, kraus_set
+from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, _check_seed, bell_basis, kraus_set
 from .states import DensityMatrix, Ket, QubitState, validate_density
 
 SIGNIFICANT_DIGITS = 12
@@ -154,13 +154,14 @@ def comparison_to_json(comparison: SwapComparison) -> dict[str, Any]:
 
 
 def checks_to_json(results: Sequence[Any], count: int, seed: int) -> dict[str, Any]:
-    """verify document of run_checks results: a list or tuple of any objects with name, passed and detail."""
-    if not isinstance(results, (list, tuple)) or not all(
-        hasattr(r, field) for r in results for field in ("name", "passed", "detail")
-    ):
-        raise ValueError("results must be a list or tuple of objects with name, passed and detail")
+    """verify document of run_checks results: a non-empty list or tuple of CheckResults; count and seed are echoed as ints."""
+    from .verify import CheckResult, _check_count  # verify is loaded wherever a CheckResult exists
+    if not (isinstance(results, (list, tuple)) and results and all(isinstance(r, CheckResult) for r in results)):
+        raise ValueError("results must be a list or tuple of one or more CheckResults")
+    _check_count(count)
+    _check_seed(seed)
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    return {"count": count, "seed": seed, "passed": all(c["passed"] for c in checks), "checks": checks}
+    return {"count": int(count), "seed": int(seed), "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def tables_to_json() -> dict[str, Any]:

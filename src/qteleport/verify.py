@@ -45,6 +45,17 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self) -> None:
+        # passed must be a Python bool: json.dumps cannot write a numpy bool_
+        for name, cls in (("name", str), ("passed", bool), ("detail", str)):
+            _check_type(getattr(self, name), cls, name)
+
+
+def _check_count(count: object) -> None:
+    """ValueError unless count, the size of the random sweeps, is a positive integer."""
+    if not (_is_int(count) and count >= 1):
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+
 
 def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
     """Flip one entry of the first measurement operator.
@@ -204,8 +215,7 @@ def run_checks(
     --tol, and corrupt_kraus is a callable or None; anything else raises
     ValueError before any check runs.
     """
-    if not (_is_int(count) and count >= 1):
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_count(count)
     _check_seed(rng_seed)
     if not (_is_real(tol) and isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")

@@ -80,6 +80,10 @@ HAND_DERIVED_CORRECTIONS = {
 # The published correction tuple for resource 1 keeps the i*sigma_y phase.
 PUBLISHED_RESOURCE_1_CORRECTIONS = (I2, SX, SZ, 1j * SY)
 
+# counts and seeds that run_checks and checks_to_json refuse, as the CLI's --count and --seed do
+BAD_COUNTS = (0, -3, True, 1.5, "10", None)
+BAD_SEEDS = (1.5, -1, True, "1", None)
+
 
 def run_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
     """Run ``python -c code *args`` with the tested qteleport importable."""

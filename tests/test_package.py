@@ -88,6 +88,7 @@ def test_every_array_the_library_shares_is_read_only():
 
 _RHO_8 = states.DensityMatrix(np.eye(8) / 8)
 _KS = protocol.kraus_set(1)
+_PASSED = verify.CheckResult("a", True, "")
 
 
 def _must_be_a(type_name):
@@ -116,7 +117,11 @@ WRONG_TYPE_CASES = {
     "qubit_to_json": (lambda: serialize.qubit_to_json((0.6, 0.8)), _must_be_a("QubitState")),
     "run_checks": (lambda: verify.run_checks(corrupt_kraus=1), _must_be_a("callable")),
     "checks_to_json-list": (lambda: serialize.checks_to_json(None, 1, 1), _must_be_a("list")),
-    "checks_to_json-items": (lambda: serialize.checks_to_json([1], 1, 1), _must_be_a("list or tuple of objects with name")),
+    "checks_to_json-items": (lambda: serialize.checks_to_json([1], 1, 1), _must_be_a("list or tuple of one or more CheckResults")),
+    "checks_to_json-empty": (lambda: serialize.checks_to_json([], 1, 1), _must_be_a("list or tuple of one or more CheckResults")),
+    "checks_to_json-count": (lambda: serialize.checks_to_json([_PASSED], None, 1), _must_be_a("positive integer")),
+    "checks_to_json-seed": (lambda: serialize.checks_to_json([_PASSED], 1, "x"), _must_be_a("non-negative integer")),
+    "CheckResult": (lambda: verify.CheckResult("a", np.True_, "x"), _must_be_a("bool")),
     "complex_pair": (lambda: serialize.complex_pair(None), _must_be_a("Complex")),
     "approx_eq-none": (lambda: linalg.approx_eq(None, None), _must_be_a("regular array")),
     "approx_eq-str": (lambda: linalg.approx_eq("a", "b"), _must_be_a("regular array")),
@@ -172,12 +177,13 @@ def test_a_wrong_typed_argument_raises_value_error_naming_the_type(name):
 
 
 def _public_callables():
-    """The functions and classes of __all__, and the public functions of serialize and verify."""
+    """The functions and classes of __all__, and the public functions and classes of serialize and verify."""
     names = {name for name in qteleport.__all__ if callable(getattr(qteleport, name))}
     for module in (serialize, verify):
         names |= {
             name for name, value in vars(module).items()
-            if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_")
+            if (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__ and not name.startswith("_")
         }
     return names
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BAD_COUNTS,
+    BAD_SEEDS,
     HAND_DERIVED_CORRECTIONS,
     PUBLISHED_RESOURCE_1_CORRECTIONS,
     haar_qubit_amplitudes,
@@ -366,13 +368,16 @@ class TestSingleShot:
             single_shot(rho_in, kraus_set(1), seed)
 
     def test_accepts_a_generator_or_numpy_integer_seed(self):
-        rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
-        ks = kraus_set(1)
-        outcome, state = single_shot(rho_in, ks, 7)
-        for seed in (np.int64(7), np.random.default_rng(7)):
-            same_outcome, same_state = single_shot(rho_in, ks, seed)
-            assert same_outcome == outcome
-            assert np.array_equal(same_state.matrix, state.matrix)
+        # README documents the Generator route: it draws exactly as the seed it was made from
+        for resource in RESOURCE_INDICES:
+            rho_in = build_initial_state(QubitState(0.6, 0.8j), resource)
+            ks = kraus_set(resource)
+            for seed in range(200):
+                outcome, state = single_shot(rho_in, ks, seed)
+                for same_seed in (np.int64(seed), np.random.default_rng(seed)):
+                    same_outcome, same_state = single_shot(rho_in, ks, same_seed)
+                    assert same_outcome == outcome
+                    assert same_state.matrix.tobytes() == state.matrix.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
@@ -852,8 +857,8 @@ class TestRunChecksBoundary:
         [
             pytest.param(name, value, id=f"{name}={value!r}")
             for name, values in (
-                ("count", (0, -3, True, 1.5, "10", None)),
-                ("rng_seed", (1.5, -1, True, "1", None)),
+                ("count", BAD_COUNTS),
+                ("rng_seed", BAD_SEEDS),
                 ("tol", (0, 0.0, -1e-9, float("nan"), float("inf"), "x", None, 1j, True, np.True_)),
             )
             for value in values

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import run_python
+from helpers import BAD_COUNTS, BAD_SEEDS, run_python
 from qteleport.linalg import identity
 from qteleport.protocol import (
     ENSEMBLE,
@@ -37,6 +37,7 @@ from qteleport.serialize import (
     tables_to_json,
 )
 from qteleport.states import DensityMatrix, QubitState, TraceNotOne, ket
+from qteleport.verify import CheckResult
 
 
 class TestMatrixSchema:
@@ -197,11 +198,8 @@ class TestReportDocuments:
         b = dumps(report_to_json(run_protocol(QubitState(0.6, 0.8j), 1, ENSEMBLE)))
         assert a == b
 
-    def test_checks_document_reads_any_result_with_name_passed_and_detail(self):
-        results = [
-            SimpleNamespace(name="a", passed=True, detail="ok"),
-            SimpleNamespace(name="b", passed=False, detail="off"),
-        ]
+    def test_checks_document_reads_check_results(self):
+        results = [CheckResult("a", True, "ok"), CheckResult("b", False, "off")]
         assert checks_to_json(results, 5, 2) == {
             "count": 5,
             "seed": 2,
@@ -213,6 +211,50 @@ class TestReportDocuments:
         }
         assert checks_to_json(results[:1], 5, 2)["passed"] is True
         assert checks_to_json(tuple(results), 5, 2) == checks_to_json(results, 5, 2)
+
+    @pytest.mark.parametrize(
+        "results",
+        [[], (), None, [SimpleNamespace(name="a", passed=True, detail="")], [CheckResult("a", True, ""), 1]],
+        ids=["empty-list", "empty-tuple", "none", "namespace", "one-stray-item"],
+    )
+    def test_checks_document_refuses_anything_but_check_results(self, results):
+        with pytest.raises(ValueError, match="^results must be a list or tuple of one or more CheckResults$"):
+            checks_to_json(results, 5, 2)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("count", v) for v in BAD_COUNTS] + [("seed", v) for v in BAD_SEEDS],
+    )
+    def test_checks_document_refuses_what_run_checks_refuses(self, name, value):
+        # the messages of run_checks, which test_protocol.py::TestRunChecksBoundary pins
+        expected = "count must be a positive integer" if name == "count" else "rng_seed must be a non-negative integer"
+        args = {"count": 5, "seed": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{expected}, got "):
+            checks_to_json([CheckResult("a", True, "")], args["count"], args["seed"])
+
+    def test_checks_document_echoes_numpy_count_and_seed_as_json_numbers(self):
+        results = [CheckResult("a", True, "")]
+        doc = checks_to_json(results, np.int64(5), np.uint8(2))
+        assert type(doc["count"]) is int and type(doc["seed"]) is int
+        assert dumps(doc) == dumps(checks_to_json(results, 5, 2))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((None, None, None), "name must be a str, got <class 'NoneType'>"),
+            ((1, True, ""), "name must be a str, got <class 'int'>"),
+            (("a", "no", "x"), "passed must be a bool, got <class 'str'>"),
+            (("a", 1, "x"), "passed must be a bool, got <class 'int'>"),
+            # numpy 2 names its bool_ "bool": the message must still tell the two apart
+            (("a", np.True_, "x"), r"passed must be a bool, got <class 'numpy\.bool_?'>"),
+            (("a", None, "x"), "passed must be a bool, got <class 'NoneType'>"),
+            (("a", True, None), "detail must be a str, got <class 'NoneType'>"),
+            (("a", True, b"x"), "detail must be a str, got <class 'bytes'>"),
+        ],
+    )
+    def test_check_result_refuses_a_field_of_the_wrong_type(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CheckResult(*fields)
 
     def test_each_report_field_is_a_key_its_writer_emits(self):
         # a field that no document emits is unread; paper_extension is derived, not stored

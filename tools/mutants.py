@@ -116,7 +116,13 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "except (_Unsupported, RecursionError):",
         "except _Unsupported:",
     ),
+    "empty-verdict-passes": (
+        SERIALIZE,
+        "isinstance(results, (list, tuple)) and results and all(",
+        "isinstance(results, (list, tuple)) and all(",
+    ),
     # verify and the CLI
+    "numpy-bool-verdict-accepted": (VERIFY, '(("name", str), ("passed", bool),', '(("name", str), ("passed", (bool, np.bool_)),'),
     "corruption-flips-nothing": (
         VERIFY,
         "a[0, 0, 6] = -a[0, 0, 6] if a[0, 0, 6] != 0 else 1.0",
