@@ -23,3 +23,9 @@ class StateValidationError(ValueError):
     def __init__(self, message: str, violation: float):
         super().__init__(f"{message} (violation {violation:.3e})")
         self.violation = violation
+
+    @classmethod
+    def _check(cls, message: str, violation: float, bound: float) -> None:
+        """The state guards' one bound rule: raise cls(message, violation) unless violation <= bound; NaN fails."""
+        if not violation <= bound:
+            raise cls(message, violation)

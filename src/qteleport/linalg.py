@@ -166,9 +166,7 @@ def _hermitian(a: object, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     if a.size == 0:
         raise ValueError(f"{name} must be non-empty, got shape {a.shape}")
-    herm_dev = float(abs(a - a.conj().T).max())
-    if herm_dev > TOL_HERM:
-        raise NotHermitian(f"{name} is not Hermitian", herm_dev)
+    NotHermitian._check(f"{name} is not Hermitian", float(abs(a - a.conj().T).max()), TOL_HERM)
     return a
 
 
@@ -177,7 +175,7 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in descending
     order and orthonormal eigenvectors as columns, so that
-    a == V @ diag(w) @ V.conj().T up to TOL_RECON; a larger reconstruction
+    a == V @ diag(w) @ V.conj().T up to TOL_RECON; a larger (or NaN) reconstruction
     error raises RuntimeError, a deviation from Hermiticity above TOL_HERM NotHermitian.
     """
     a = _hermitian(a)
@@ -186,6 +184,6 @@ def eig_hermitian(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     recon = (vectors * values) @ vectors.conj().T
     recon_err = float(abs(recon - a).max())
-    if recon_err > TOL_RECON:
+    if not recon_err <= TOL_RECON:  # NaN compares False
         raise RuntimeError(f"eigendecomposition reconstruction error {recon_err:.3e} exceeds {TOL_RECON:.3e}")
     return values, vectors

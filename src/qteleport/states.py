@@ -47,9 +47,7 @@ def _unit_amplitudes(values: object, name: str, renormalize: bool = False) -> np
         parts /= norm
     else:
         # Python floats: a norm past the largest double squares to inf, not to an error
-        deviation = abs(scale * norm * scale * norm - 1.0)
-        if deviation > TOL_NORM:
-            raise StateValidationError(f"{name} are not normalized", deviation)
+        StateValidationError._check(f"{name} are not normalized", abs(scale * norm * scale * norm - 1.0), TOL_NORM)
     return _frozen(v)
 
 
@@ -109,9 +107,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         m = _hermitian(self.matrix, "density matrix").copy()
-        trace_dev = abs(complex(m.trace()) - 1.0)
-        if trace_dev > TOL_NORM:
-            raise TraceNotOne("density matrix trace differs from 1", trace_dev)
+        TraceNotOne._check("density matrix trace differs from 1", abs(complex(m.trace()) - 1.0), TOL_NORM)
         object.__setattr__(self, "matrix", _frozen(m))
 
     @property
@@ -122,9 +118,7 @@ class DensityMatrix:
 def _psd_spectrum(rho: DensityMatrix) -> np.ndarray:
     """The eigenvalues of rho, descending; NotPositive, with its size, if one lies below -TOL_PSD."""
     eigenvalues, _ = eig_hermitian(rho.matrix)
-    lowest = float(eigenvalues[-1])
-    if lowest < -TOL_PSD:
-        raise NotPositive("density matrix has a negative eigenvalue", -lowest)
+    NotPositive._check("density matrix has a negative eigenvalue", -float(eigenvalues[-1]), TOL_PSD)
     return eigenvalues
 
 

@@ -450,6 +450,12 @@ class TestColdStart:
             "qteleport teleport: error: argument --resource-index: invalid choice: 5 (choose from 1, 2, 3, 4)"
         )
 
+    def test_verify_count_usage_error(self):
+        code, out, err, numpy_loaded = _run_cold("verify", "--count", "0")
+        assert (code, out, numpy_loaded) == (EXIT_USAGE, "", "False")
+        assert err.startswith("usage: qteleport verify [-h]")
+        assert err.splitlines()[-1] == "qteleport verify: error: argument --count: must be a positive integer"
+
     def test_state_usage_error(self):
         assert _run_cold("teleport", "--alpha=0.6", "--beta=0.6") == (
             EXIT_USAGE,

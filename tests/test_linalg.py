@@ -97,6 +97,11 @@ class TestKron:
         assert out.shape == expected.shape and np.array_equal(out, expected)
 
 
+    def test_rejects_no_factors(self):
+        with pytest.raises(ValueError, match="^kron requires at least one factor$"):
+            kron()
+
+
 class TestDagger:
     def test_identity(self):
         assert np.array_equal(dagger(identity(4)), identity(4))
@@ -237,6 +242,12 @@ class TestEigHermitian:
         with pytest.raises(ValueError, match=r"^matrix must be non-empty, got shape \(0, 0\)$"):
             eig_hermitian(np.zeros((0, 0)))
 
+    def test_reconstruction_guard_raises_above_its_absolute_bound(self):
+        # the eigenvectors' rounding costs one ulp of the entry 1e8, 2**-26, 150 times TOL_RECON
+        with pytest.raises(RuntimeError) as excinfo:
+            eig_hermitian(np.array([[0.5, 1e8], [1e8, 0.5]]))
+        assert str(excinfo.value) == "eigendecomposition reconstruction error 1.490e-08 exceeds 1.000e-10"
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_hermitian_reconstruction(self, seed):
         h = random_hermitian(np.random.default_rng(seed), 8)
@@ -280,6 +291,10 @@ class TestApproxEq:
 
     def test_different_matrices(self):
         assert not approx_eq(IDENTITY_2, PAULI_X, 1e-12)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_arrays_are_equal(self, shape):
+        assert approx_eq(np.zeros(shape), np.zeros(shape), 0.0) is True
 
     def test_swap_involution(self):
         assert approx_eq(SWAP_0_2_REFERENCE @ SWAP_0_2_REFERENCE, identity(8), 1e-12)

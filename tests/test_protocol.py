@@ -408,6 +408,12 @@ class TestSingleShot:
             counts[outcome - 1] += 1
         assert np.max(np.abs(counts / 2000 - 0.25)) < 0.05
 
+    def test_refuses_a_set_whose_branches_all_vanish(self):
+        ks = KrausSet(1, np.zeros((4, 8, 8)), kraus_set(1).b_ops)
+        rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
+        with pytest.raises(ValueError, match="^all measurement branches have vanishing probability$"):
+            single_shot(rho_in, ks, 0)
+
 
 class TestCorrections:
     def test_resource_1_search_matches_published_up_to_phase(self):
@@ -724,6 +730,11 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="^outcome probabilities sum to 1 off by"):
             dataclasses.replace(report, outcome_probabilities=[0.25, 0.25, 0.25, bad])
 
+    def test_report_rejects_three_probabilities(self):
+        report = run_protocol(QubitState(1, 0), 1, ENSEMBLE)
+        with pytest.raises(ValueError, match="^expected 4 outcome probabilities, got 3$"):
+            dataclasses.replace(report, outcome_probabilities=(0.25, 0.25, 0.5))
+
 
 def _trace_kept_by(ks: KrausSet) -> DensityMatrix:
     """A state whose trace the set's channel keeps, even where sum K^dag K != I.
@@ -879,3 +890,40 @@ class TestRunChecksBoundary:
     )
     def test_accepts_python_and_numpy_numbers(self, kwargs):
         assert all(r.passed for r in run_checks(**kwargs))
+
+
+class TestRunChecksFailureDetails:
+    """Each check names what it found wrong; valid operators pass, so the faults are injected."""
+
+    @staticmethod
+    def _failed(name, **kwargs):
+        results = {r.name: r for r in run_checks(count=8, **kwargs)}
+        assert not results[name].passed
+        return results[name].detail
+
+    def test_a_correction_operator_off_the_golden_table(self):
+        def swapped(ks):
+            return KrausSet(ks.resource_index, ks.a_ops, ks.b_ops[[1, 0, 2, 3]])
+
+        detail = self._failed("operator_table_match", corrupt_kraus=swapped)
+        assert detail == "B^1 differs from the golden transcription"
+
+    def test_a_projector_of_the_wrong_rank(self):
+        def doubled(ks):
+            a = ks.a_ops.copy()
+            a[0] *= 2
+            return KrausSet(ks.resource_index, a, ks.b_ops)
+
+        detail = self._failed("projector_rank", corrupt_kraus=doubled)
+        assert detail == "projector 1 has rank 4.000000, expected 2"
+
+    def test_a_swap_matrix_off_the_golden_table(self, monkeypatch):
+        monkeypatch.setattr("qteleport.verify.SWAP_0_2", identity(8))
+        assert self._failed("swap_matrix_match") == "swap matrix differs from the golden transcription"
+
+    def test_a_swap_matrix_that_is_not_an_involution(self, monkeypatch):
+        # a cyclic shift of the basis, written into both tables so that they still agree
+        cycle = np.roll(identity(8), 1, axis=0)
+        monkeypatch.setattr("qteleport.verify.SWAP_0_2", cycle)
+        monkeypatch.setattr("qteleport.verify.SWAP_0_2_REFERENCE", cycle)
+        assert self._failed("swap_matrix_match") == "swap matrix is not an involution"

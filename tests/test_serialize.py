@@ -59,6 +59,10 @@ class TestMatrixSchema:
         back = matrix_from_json(json.loads(dumps(matrix_to_json(m))))
         assert np.max(np.abs(back - m)) <= 1e-12
 
+    def test_writes_matrices_only(self):
+        with pytest.raises(ValueError, match=r"^expected a matrix, got shape \(3,\)$"):
+            matrix_to_json(np.ones(3))
+
     def test_entry_count_validated(self):
         with pytest.raises(ValueError):
             matrix_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
@@ -141,6 +145,14 @@ class TestStateTags:
     def test_ket_kind_required(self):
         with pytest.raises(ValueError):
             ket_from_json({"amplitudes": [[1, 0]]})
+
+    def test_loaders_refuse_each_others_kind(self):
+        density = density_to_json(DensityMatrix(identity(2) / 2.0))
+        k = ket_to_json(ket([0.6, 0.8j]))
+        with pytest.raises(ValueError, match="^expected kind 'density', got 'ket'$"):
+            density_from_json(k)
+        with pytest.raises(ValueError, match="^expected kind 'ket', got 'density'$"):
+            ket_from_json(density)
 
 
 class TestReportDocuments:

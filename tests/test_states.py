@@ -4,11 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import haar_qubit_amplitudes, random_hermitian
 from qteleport.linalg import PAULI_X, eig_hermitian, identity, kron, partial_trace
 from qteleport.serialize import density_from_json, density_to_json
 from qteleport.states import (
+    TOL_PSD,
     DensityMatrix,
     Ket,
     NotHermitian,
@@ -109,6 +112,12 @@ class TestKet:
         k = ket([1.0, 0.0])
         with pytest.raises(ValueError):
             k.amplitudes[0] = 2.0
+
+    @pytest.mark.parametrize("amplitudes, shape", [([], "(0,)"), ([[1, 0]], "(1, 2)")], ids=["empty", "matrix"])
+    def test_rejects_what_is_not_a_non_empty_vector(self, amplitudes, shape):
+        message = f"ket amplitudes must form a non-empty vector, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Ket(amplitudes)
 
 
 @pytest.mark.parametrize(
@@ -388,3 +397,55 @@ def test_none_entries_are_named_as_non_numbers(build, name):
     # numpy reads None as NaN, which must not be reported as a non-finite number
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a regular array of numbers$"):
         build(None)
+
+
+# Finite matrices whose checks overflow: numpy's pairwise trace of this diagonal adds inf and -inf,
+# and (a + a^H) / 2 of the 2x2 overflows before the eigensolver sees it. Both measure NaN.
+OVERFLOWING_TRACE = np.diag([1e308, 1e308, -1e308, -1e308, 0.25, 0.25, 0.25, 0.25])
+OVERFLOWING_SPECTRUM = np.array([[0.5, 1e308], [1e308, 0.5]])
+
+
+def test_a_trace_measured_as_nan_fails_the_trace_guard():
+    # numpy's overflow warnings are silenced so that the guard, not the warning filter, decides
+    with np.errstate(all="ignore"), pytest.raises(TraceNotOne) as excinfo:
+        DensityMatrix(OVERFLOWING_TRACE)
+    assert np.isnan(excinfo.value.violation)
+    assert str(excinfo.value) == "density matrix trace differs from 1 (violation nan)"
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        eig_hermitian,
+        validate_density,
+        lambda m: density_from_json(density_to_json(DensityMatrix(m))),
+    ],
+    ids=["eig-hermitian", "validate-density", "density-from-json"],
+)
+def test_a_spectrum_measured_as_nan_fails_the_reconstruction_guard(solve):
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError) as excinfo:
+        solve(OVERFLOWING_SPECTRUM)
+    assert str(excinfo.value) == "eigendecomposition reconstruction error nan exceeds 1.000e-10"
+
+
+def _two_level(p: float, re: float, im: float) -> np.ndarray:
+    z = complex(re, im)
+    return np.array([[p, z], [z.conjugate(), 1.0 - p]])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(st.builds(_two_level, st.floats(0.0, 1.0), FINITE, FINITE))
+@example(OVERFLOWING_TRACE)
+def test_validated_densities_have_a_finite_non_negative_spectrum(m):
+    # an entry near the largest double overflows inside the checks, which must then refuse the matrix
+    with np.errstate(all="ignore"):
+        try:
+            rho = validate_density(m)
+        except (StateValidationError, RuntimeError):
+            return
+        spectrum = np.linalg.eigvalsh(rho.matrix)
+    # eigvalsh and eig_hermitian's eigh are two LAPACK routes, which may differ in the last bits
+    assert np.isfinite(spectrum).all() and spectrum.min() >= -TOL_PSD - 1e-15

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT_S = 600
 
+BASE = "src/qteleport/base.py"
 LINALG = "src/qteleport/linalg.py"
 STATES = "src/qteleport/states.py"
 PROTOCOL = "src/qteleport/protocol.py"
@@ -37,6 +38,8 @@ CLI = "src/qteleport/cli.py"
 
 # name -> (file, old, new); the families earlier hand-run checks used, and the rules of each layer
 MUTANTS: dict[str, tuple[str, str, str]] = {
+    # base
+    "bound-accepts-nan": (BASE, "if not violation <= bound:", "if violation > bound:"),
     # linalg
     "kron-axes-swapped": (
         LINALG,
@@ -57,7 +60,9 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "keep-guard-dropped": (LINALG, "    if not kept:\n", "    if kept is None:\n"),
     "empty-matrix-accepted": (LINALG, "    if a.size == 0:\n        raise", "    if a.size < 0:\n        raise"),
-    "hermiticity-bound-loosened": (LINALG, "if herm_dev > TOL_HERM:", "if herm_dev > 1.0:"),
+    "hermiticity-bound-loosened": (LINALG, "abs(a - a.conj().T).max()), TOL_HERM)", "abs(a - a.conj().T).max()), 1.0)"),
+    "reconstruction-guard-accepts-nan": (LINALG, "if not recon_err <= TOL_RECON:", "if recon_err > TOL_RECON:"),
+    "reconstruction-guard-dropped": (LINALG, "if not recon_err <= TOL_RECON:", "if False:"),
     "dim-rule-dropped": (LINALG, "if not (_is_int(dim) and dim >= 0):", "if not (True):"),
     # states
     "norm-as-squared-sum": (
@@ -66,8 +71,8 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "norm = (norm * norm + abs(z) * abs(z)) ** 0.5",
     ),
     "renormalize-by-norm-squared": (STATES, "        parts /= norm\n", "        parts /= norm * norm\n"),
-    "trace-bound-loosened": (STATES, "if trace_dev > TOL_NORM:", "if trace_dev > 1.0:"),
-    "positivity-bound-loosened": (STATES, "if lowest < -TOL_PSD:", "if lowest < -1.0:"),
+    "trace-bound-loosened": (STATES, "abs(complex(m.trace()) - 1.0), TOL_NORM)", "abs(complex(m.trace()) - 1.0), 1.0)"),
+    "positivity-bound-loosened": (STATES, "-float(eigenvalues[-1]), TOL_PSD)", "-float(eigenvalues[-1]), 1.0)"),
     "entropy-support-threshold": (
         STATES,
         "support = eigenvalues[eigenvalues > TOL_PSD]",
@@ -91,6 +96,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "@ projected @ ks.b_ops.conj().transpose(0, 2, 1)",
         "@ projected @ ks.b_ops.transpose(0, 2, 1)",
     ),
+    "vanishing-branch-guard-dropped": (PROTOCOL, "    if not eligible:\n        raise", "    if False:\n        raise"),
     "sampled-branch-ignored": (
         PROTOCOL,
         "DensityMatrix(corrected[chosen] / probabilities[chosen])",
