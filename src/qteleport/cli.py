@@ -7,6 +7,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from functools import partial
 from typing import Any
 
 from .base import (
@@ -49,17 +50,14 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+def _int_at_least(low: int, text: str) -> int:
+    """The argparse type of an integer flag, low 0 or 1: malformed and smaller text get one message."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused like a negative number
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be a {'positive' if low else 'non-negative'} integer")
     return value
 
 
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which Bell vector is prepared as the entangled resource",
     )
     teleport.add_argument("--mode", choices=MODES, default=ENSEMBLE)
-    teleport.add_argument("--seed", type=_nonnegative_int, default=0)
+    teleport.add_argument("--seed", type=partial(_int_at_least, 0), default=0)
     _add_common_flags(teleport)
 
     swap_cmp = sub.add_parser("swap-compare", help="contrast the channel with the swap unitary")
@@ -287,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the full invariant suite")
     verify.set_defaults(run=cmd_verify)
-    verify.add_argument("--count", type=_positive_int, default=DEFAULT_SWEEP_COUNT,
+    verify.add_argument("--count", type=partial(_int_at_least, 1), default=DEFAULT_SWEEP_COUNT,
                         help="number of random states in the fidelity sweep")
-    verify.add_argument("--seed", type=_nonnegative_int, default=0)
+    verify.add_argument("--seed", type=partial(_int_at_least, 0), default=0)
     verify.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
     _add_common_flags(verify)
 

@@ -105,6 +105,7 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing check measures inf or nan and fails, with no warning
     def __post_init__(self) -> None:
         m = _hermitian(self.matrix, "density matrix").copy()
         TraceNotOne._check("density matrix trace differs from 1", abs(complex(m.trace()) - 1.0), TOL_NORM)
@@ -117,7 +118,7 @@ class DensityMatrix:
 
 def _psd_spectrum(rho: DensityMatrix) -> np.ndarray:
     """The eigenvalues of rho, descending; NotPositive, with its size, if one lies below -TOL_PSD."""
-    eigenvalues, _ = eig_hermitian(rho.matrix)
+    eigenvalues = eig_hermitian(rho.matrix)
     NotPositive._check("density matrix has a negative eigenvalue", -float(eigenvalues[-1]), TOL_PSD)
     return eigenvalues
 

@@ -68,6 +68,24 @@ class TestParser:
             build_parser().parse_args(["teleport", "--alpha", "1", "--seed", "-1"])
         assert excinfo.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--count", "x"], "qteleport verify: error: argument --count: must be a positive integer"),
+            (
+                ["teleport", "--alpha", "1", "--seed", "1.5"],
+                "qteleport teleport: error: argument --seed: must be a non-negative integer",
+            ),
+        ],
+        ids=["count-x", "seed-1.5"],
+    )
+    def test_malformed_integer_flags_state_the_rule(self, capsys, argv, message):
+        # malformed text gets the out-of-range message, which names no private function
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
 
 class TestTeleportCommand:
     def test_basis_state_succeeds(self, capsys):

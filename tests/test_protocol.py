@@ -313,7 +313,7 @@ class TestTeleportChannel:
         out = teleport_channel(build_initial_state(QubitState(0.6, 0.8j), 1), kraus_set(1))
         from qteleport.linalg import eig_hermitian
 
-        values, _ = eig_hermitian(out.matrix)
+        values = eig_hermitian(out.matrix)
         assert np.allclose(values, [0.25] * 4 + [0.0] * 4, atol=1e-10)
         assert abs(purity(out) - 0.25) <= 1e-10
         assert abs(von_neumann_entropy(out) - 2.0) <= 1e-9

@@ -270,8 +270,8 @@ class TestEntropy:
     def test_unitary_invariance(self, seed):
         rng = np.random.default_rng(seed)
         rho = DensityMatrix(_random_density(rng, 6))
-        # a unitary built from the eigenvector matrix of a random Hermitian
-        _, u = eig_hermitian(random_hermitian(rng, 6))
+        # a unitary from the QR factors of a random Hermitian
+        u = np.linalg.qr(random_hermitian(rng, 6))[0]
         rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) <= 1e-9
 
@@ -400,32 +400,37 @@ def test_none_entries_are_named_as_non_numbers(build, name):
 
 
 # Finite matrices whose checks overflow: numpy's pairwise trace of this diagonal adds inf and -inf,
-# and (a + a^H) / 2 of the 2x2 overflows before the eigensolver sees it. Both measure NaN.
+# and a - a^H of the 2x2s has an entry past the largest double.
 OVERFLOWING_TRACE = np.diag([1e308, 1e308, -1e308, -1e308, 0.25, 0.25, 0.25, 0.25])
-OVERFLOWING_SPECTRUM = np.array([[0.5, 1e308], [1e308, 0.5]])
+OVERFLOWING_HERMITICITY = [np.array([[0, 1e308], [-1e308, 0]]), np.array([[0.5, 1e308j], [1e308j, 0.5]])]
+LOADERS = [validate_density, lambda m: density_from_json(density_to_json(DensityMatrix(m)))]
 
 
 def test_a_trace_measured_as_nan_fails_the_trace_guard():
-    # numpy's overflow warnings are silenced so that the guard, not the warning filter, decides
-    with np.errstate(all="ignore"), pytest.raises(TraceNotOne) as excinfo:
+    # no numpy warning is silenced here: under filterwarnings = ["error"] a leaked one fails the test
+    with pytest.raises(TraceNotOne) as excinfo:
         DensityMatrix(OVERFLOWING_TRACE)
     assert np.isnan(excinfo.value.violation)
     assert str(excinfo.value) == "density matrix trace differs from 1 (violation nan)"
 
 
+@pytest.mark.parametrize("m", OVERFLOWING_HERMITICITY, ids=["real", "imaginary"])
 @pytest.mark.parametrize(
-    "solve",
-    [
-        eig_hermitian,
-        validate_density,
-        lambda m: density_from_json(density_to_json(DensityMatrix(m))),
-    ],
-    ids=["eig-hermitian", "validate-density", "density-from-json"],
+    "check", [DensityMatrix, validate_density, eig_hermitian], ids=["density-matrix", "validate-density", "eig-hermitian"]
 )
-def test_a_spectrum_measured_as_nan_fails_the_reconstruction_guard(solve):
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError) as excinfo:
-        solve(OVERFLOWING_SPECTRUM)
-    assert str(excinfo.value) == "eigendecomposition reconstruction error nan exceeds 1.000e-10"
+def test_a_hermiticity_measured_as_inf_fails_the_hermiticity_guard(check, m):
+    with pytest.raises(NotHermitian) as excinfo:
+        check(m)
+    assert excinfo.value.violation == np.inf
+
+
+@pytest.mark.parametrize("x", [3, 1e4, 1e6, 1e8, 1e12, 1e200, 1e307, 1e308])
+@pytest.mark.parametrize("load", LOADERS, ids=["validate-density", "density-from-json"])
+def test_a_large_negative_eigenvalue_is_refused_as_not_positive(load, x):
+    # the spectrum guard scales with the matrix, so positivity decides at every scale
+    with pytest.raises(NotPositive) as excinfo:
+        load(np.array([[0.5, x], [x, 0.5]]))
+    assert excinfo.value.violation == pytest.approx(x - 0.5, rel=1e-15)
 
 
 def _two_level(p: float, re: float, im: float) -> np.ndarray:
@@ -439,13 +444,14 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @settings(deadline=None)
 @given(st.builds(_two_level, st.floats(0.0, 1.0), FINITE, FINITE))
 @example(OVERFLOWING_TRACE)
+@example(OVERFLOWING_HERMITICITY[0])
+@example(OVERFLOWING_HERMITICITY[1])
+@example(_two_level(0.5, 1.5e308, 1.5e308))
 def test_validated_densities_have_a_finite_non_negative_spectrum(m):
     # an entry near the largest double overflows inside the checks, which must then refuse the matrix
-    with np.errstate(all="ignore"):
-        try:
-            rho = validate_density(m)
-        except (StateValidationError, RuntimeError):
-            return
-        spectrum = np.linalg.eigvalsh(rho.matrix)
-    # eigvalsh and eig_hermitian's eigh are two LAPACK routes, which may differ in the last bits
-    assert np.isfinite(spectrum).all() and spectrum.min() >= -TOL_PSD - 1e-15
+    try:
+        rho = validate_density(m)
+    except (StateValidationError, RuntimeError):
+        return
+    spectrum = np.linalg.eigvalsh(rho.matrix)
+    assert np.isfinite(spectrum).all() and spectrum.min() >= -TOL_PSD
