@@ -170,20 +170,25 @@ def _hermitian(a: object, name: str = "matrix") -> np.ndarray:
     return a
 
 
-@np.errstate(over="ignore")  # an overflowing a - a^H in _hermitian measures inf, which fails, without a warning
+@np.errstate(over="ignore")  # an overflowing a - a^H in _hermitian, or eigenvalue scaled back, is inf without a warning
 def eig_hermitian(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of a complex Hermitian matrix, descending, by LAPACK (numpy eigvalsh).
 
     NotHermitian above TOL_HERM. LAPACK is backward stable at every scale, so the eigenvalues and the
-    diagonal, divided by the largest |eigenvalue| (or 1), must have sums within TOL_SPECTRUM per
-    dimension; a larger (or NaN) difference raises RuntimeError.
+    diagonal, divided by the largest |eigenvalue| (or 1), must have sums within TOL_SPECTRUM per dimension;
+    a larger (or NaN) difference raises RuntimeError. An eigenvalue past the largest double returns as +-inf.
     """
     a = _hermitian(a)
-    values = np.linalg.eigvalsh(a)[::-1]
-    # Python floats: an infinite eigenvalue divides to nan, which fails, without a numpy warning
-    w, bound = values.tolist(), a.shape[0] * TOL_SPECTRUM
+    values, shrink = np.linalg.eigvalsh(a)[::-1], 1.0
+    w, bound = values.tolist(), a.shape[0] * TOL_SPECTRUM  # Python floats: inf / inf is nan, with no numpy warning
     scale = max(map(abs, w)) or 1.0
+    if not isfinite(scale):  # |a_ij| < 2 DBL_MAX bounds each |eigenvalue| by 2n DBL_MAX: solve an exactly scaled copy
+        shrink = 2.0 ** -(a.shape[0].bit_length() + 1)
+        a = a * shrink
+        values = np.linalg.eigvalsh(a)[::-1]
+        w = values.tolist()
+        scale = max(map(abs, w))
     err = abs(sum(x / scale for x in w) - sum(d / scale for d in a.diagonal().real.tolist()))
     if not err <= bound:  # NaN compares False
         raise RuntimeError(f"eigenvalue sum differs from the trace by {err:.3e} of the largest eigenvalue, above {bound:.3e}")
-    return values
+    return values if shrink == 1.0 else values / shrink

@@ -14,11 +14,12 @@ from typing import Callable
 import numpy as np
 
 from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import _check_type, _is_int, _is_real, approx_eq, dagger, identity, kron, partial_trace
+from .linalg import _check_type, _is_int, _is_real, dagger, identity, kron, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
+    _BELL_PATTERNS,
     _check_seed,
     bell_basis,
     build_initial_state,
@@ -70,59 +71,52 @@ def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
 
 
 def _check_operator_tables(ks1: KrausSet) -> tuple[bool, str]:
-    for i, (built, golden) in enumerate(zip(ks1.a_ops, A_OPS_REFERENCE), start=1):
-        if not np.array_equal(built, golden):
-            return False, f"A^{i} differs from the golden transcription"
-    for i, (built, golden) in enumerate(zip(ks1.b_ops, B_OPS_REFERENCE), start=1):
-        if not np.array_equal(built, golden):
-            return False, f"B^{i} differs from the golden transcription"
+    for name, built, golden in (("A", ks1.a_ops, A_OPS_REFERENCE), ("B", ks1.b_ops, B_OPS_REFERENCE)):
+        for i, (m, g) in enumerate(zip(built, golden), start=1):
+            if not np.array_equal(m, g):
+                return False, f"{name}^{i} differs from the golden transcription"
     return True, "all eight operators match the golden transcription exactly"
 
 
 def _check_bell_orthonormality() -> tuple[bool, str]:
-    vectors = np.column_stack([k.amplitudes for k in bell_basis()])
-    gram = dagger(vectors) @ vectors
-    dev = float(np.max(np.abs(gram - np.eye(4))))
-    return dev <= 1e-12, f"Gram matrix deviation from identity {dev:.3e}"
+    if not np.array_equal(_BELL_PATTERNS.conj() @ _BELL_PATTERNS.T, 2 * identity(4)):
+        return False, "Gram matrix of the Bell patterns differs from 2I"
+    for i, (k, pattern) in enumerate(zip(bell_basis(), _BELL_PATTERNS), start=1):
+        if not np.array_equal(k.amplitudes, pattern * 2**-0.5):
+            return False, f"Bell vector {i} differs from its pattern times 2**-0.5"
+    return True, "Gram matrix of the Bell patterns is exactly 2I, and each vector is its pattern times 2**-0.5"
 
 
 def _check_bell_reductions() -> tuple[bool, str]:
-    worst = 0.0
-    for k in bell_basis():
-        rho = ket_to_density(k).matrix
+    for i, pattern in enumerate(_BELL_PATTERNS, start=1):
         for factor in (0, 1):
-            reduced = partial_trace(rho, (2, 2), {factor})
-            worst = max(worst, float(np.max(np.abs(reduced - np.eye(2) / 2))))
-    return worst <= 1e-12, f"worst single-factor reduction deviation from I/2 is {worst:.3e}"
+            if not np.array_equal(partial_trace(np.outer(pattern, pattern.conj()), (2, 2), {factor}), identity(2)):
+                return False, f"doubled Bell projector {i}: the reduction onto factor {factor} differs from I"
+    return True, "every single-factor reduction of a doubled Bell projector is exactly I"
 
 
 def _check_projector_rank(ks1: KrausSet) -> tuple[bool, str]:
-    worst = 0.0
     for i, p in enumerate(ks1.projectors, start=1):
-        worst = max(worst, float(np.max(np.abs(p @ p - p))))
-        rank = float(np.trace(p).real)
-        if abs(rank - 2.0) > 1e-12:
-            return False, f"projector {i} has rank {rank:.6f}, expected 2"
-    return worst <= 1e-12, f"worst idempotence deviation {worst:.3e}, all ranks 2"
+        rank = complex(np.trace(p))
+        if rank != 2:  # repr prints a trace one ulp off 2 as such
+            return False, f"projector {i} has rank {rank if rank.imag else rank.real!r}, expected 2"
+        if not np.array_equal(p @ p, p):
+            return False, f"projector {i} is not idempotent"
+    return True, "all four projectors are idempotent with trace exactly 2"
 
 
 def _check_kraus_completeness(sets: dict[int, KrausSet]) -> tuple[bool, str]:
-    worst = 0.0
     for j, ks in sets.items():
-        total = np.zeros((8, 8), dtype=complex)
-        for k in ks.kraus:
-            total += dagger(k) @ k
-        dev = float(np.max(np.abs(total - identity(8))))
-        if dev > 1e-12:
-            return False, f"resource {j}: sum K^dag K deviates from identity by {dev:.3e}"
-        worst = max(worst, dev)
-    return True, f"completeness holds for all resources, worst deviation {worst:.3e}"
+        total = sum(ks.kraus.conj().transpose(0, 2, 1) @ ks.kraus)
+        if not np.array_equal(total, identity(8)):
+            return False, f"resource {j}: sum K^dag K deviates from identity by {np.abs(total - identity(8)).max():.3e}"
+    return True, "sum K^dag K is exactly the identity for all resources"
 
 
 def _check_swap_matrix() -> tuple[bool, str]:
     if not np.array_equal(SWAP_0_2, SWAP_0_2_REFERENCE):
         return False, "swap matrix differs from the golden transcription"
-    if not approx_eq(SWAP_0_2 @ SWAP_0_2, identity(8), 0.0):
+    if not np.array_equal(SWAP_0_2 @ SWAP_0_2, identity(8)):
         return False, "swap matrix is not an involution"
     return True, "swap matrix matches the golden transcription and squares to identity"
 
@@ -136,7 +130,7 @@ def _check_correction_search() -> tuple[bool, str]:
     for i, (d, p) in enumerate(zip(derive_corrections(1), correction_set(1)), start=1):
         overlap = dagger(d) @ p
         # equal up to a global phase iff the unitary U_d^dag U_p is a multiple of the identity
-        if np.max(np.abs(overlap - overlap[0, 0] * np.eye(2))) > 1e-10:
+        if not np.array_equal(overlap, overlap[0, 0] * np.eye(2)):
             return False, f"resource 1 outcome {i}: derived correction is not phase-equivalent"
     return True, "derived corrections are phase-equivalent to the production sets"
 

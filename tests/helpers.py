@@ -1,10 +1,10 @@
 """Shared independent oracles for the test suite.
 
 Everything here is computed by a route the production code does not use:
-closed-form patterns transcribed by hand, numpy's eigensolver, or explicit
-Pauli algebra. run_python starts a fresh interpreter on this checkout's
-sources, for what only a new process shows: which modules an entry point
-imports.
+closed-form patterns transcribed by hand, numpy's eigensolver, explicit
+Pauli algebra, or exact arithmetic over Gaussian rationals. run_python
+starts a fresh interpreter on this checkout's sources, for what only a new
+process shows: which modules an entry point imports.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,75 @@ HAND_DERIVED_CORRECTIONS = {
 
 # The published correction tuple for resource 1 keeps the i*sigma_y phase.
 PUBLISHED_RESOURCE_1_CORRECTIONS = (I2, SX, SZ, 1j * SY)
+
+# An exact model of the protocol over Gaussian rationals: a number is a (real, imaginary) pair of Fractions, and a
+# matrix a list of rows of them. Fraction(x) holds a double x exactly and Fraction arithmetic does not round, so each
+# result below is the exact value for the float inputs, rounded once at the end by exact_to_complex.
+Gaussian = tuple[Fraction, Fraction]
+
+
+def exact(m: object) -> list[list[Gaussian]]:
+    return [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def exact_to_complex(m: list[list[Gaussian]]) -> np.ndarray:
+    """The one rounding: Fraction to float is correctly rounded."""
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in m])
+
+
+def _sum(terms) -> Gaussian:
+    re = im = Fraction(0)
+    for x, y in terms:
+        re, im = re + x, im + y
+    return re, im
+
+
+def _matmul(a: list[list[Gaussian]], b: list[list[Gaussian]]) -> list[list[Gaussian]]:
+    return [
+        [_sum((x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]) for x, y in zip(row, col) if any(x) and any(y))
+         for col in zip(*b)]
+        for row in a
+    ]
+
+
+def _dagger(a: list[list[Gaussian]]) -> list[list[Gaussian]]:
+    return [[(re, -im) for re, im in col] for col in zip(*a)]
+
+
+def _halved(a: list[list[Gaussian]]) -> list[list[Gaussian]]:
+    return [[(re / 2, im / 2) for re, im in row] for row in a]
+
+
+def _exact_kraus(ks) -> list[list[list[Gaussian]]]:
+    """K_i = B^i A^i / 2 from the set's own operators."""
+    return [_halved(_matmul(exact(b), exact(a))) for a, b in zip(ks.a_ops, ks.b_ops)]
+
+
+def exact_channel(rho: np.ndarray, ks) -> np.ndarray:
+    """sum_i K_i rho K_i^dag for the float matrix rho, rounded once."""
+    r = exact(rho)
+    terms = [_matmul(_matmul(k, r), _dagger(k)) for k in _exact_kraus(ks)]
+    return exact_to_complex([[_sum(t[i][j] for t in terms) for j in range(8)] for i in range(8)])
+
+
+def exact_probabilities(rho: np.ndarray, ks) -> tuple[float, ...]:
+    """Tr(P_i rho P_i) with P_i = A^i / 2 for the float matrix rho, each rounded once."""
+    r = exact(rho)
+    probabilities = []
+    for a in ks.a_ops:
+        p = _halved(exact(a))
+        projected = _matmul(_matmul(p, r), p)
+        probabilities.append(float(_sum(projected[i][i] for i in range(8))[0]))
+    return tuple(probabilities)
+
+
+def exact_marginals(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reductions of the float 8x8 matrix m onto factors 0, 1 and onto factor 2, each entry rounded once."""
+    e = exact(m)
+    m12 = [[_sum(e[2 * a + j][2 * b + j] for j in range(2)) for b in range(4)] for a in range(4)]
+    m3 = [[_sum(e[2 * a + j][2 * a + k] for a in range(4)) for k in range(2)] for j in range(2)]
+    return exact_to_complex(m12), exact_to_complex(m3)
+
 
 # counts and seeds that run_checks and checks_to_json refuse, as the CLI's --count and --seed do
 BAD_COUNTS = (0, -3, True, 1.5, "10", None)

@@ -251,9 +251,23 @@ class TestEigHermitian:
         values = eig_hermitian(np.array([[0.5, x], [x, 0.5]]))
         assert values[0] == pytest.approx(x + 0.5, rel=1e-15) and values[1] == pytest.approx(0.5 - x, rel=1e-15)
 
-    def test_an_eigenvalue_past_the_largest_double_fails_the_spectrum_guard(self):
-        # the eigenvalue 2e308 comes back inf, and inf / inf measures nan without a numpy warning
-        with pytest.raises(RuntimeError, match="^eigenvalue sum differs from the trace by nan "):
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (np.full((2, 2), 1e308), [np.inf, 0.0]),
+            (np.array([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0.5]]), [np.inf, -np.inf]),
+        ],
+        ids=["real", "complex"],
+    )
+    def test_an_eigenvalue_past_the_largest_double_returns_as_inf(self, m, expected):
+        # LAPACK gives inf or nan here; the spectrum of m / 8 is finite, passes the guard and scales back,
+        # with no numpy warning under filterwarnings = ["error"]
+        assert eig_hermitian(m).tolist() == expected
+
+    def test_the_rescaled_spectrum_passes_the_same_guard(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) * (1 + 1e-6))
+        with pytest.raises(RuntimeError, match="^eigenvalue sum differs from the trace by 1.000e-06 "):
             eig_hermitian(np.full((2, 2), 1e308))
 
     @pytest.mark.parametrize("seed", range(10))

@@ -22,6 +22,7 @@ from qteleport.protocol import (
     SINGLE_SHOT,
     SWAP_0_2,
     THREE_QUBITS,
+    _BELL_PATTERNS,
     _CANDIDATE_PAULIS,
     KrausSet,
     _corrected_branches,
@@ -908,14 +909,82 @@ class TestRunChecksFailureDetails:
         detail = self._failed("operator_table_match", corrupt_kraus=swapped)
         assert detail == "B^1 differs from the golden transcription"
 
-    def test_a_projector_of_the_wrong_rank(self):
-        def doubled(ks):
+    @staticmethod
+    def _with_a_ops(index, value):
+        """A corrupt_kraus that writes value at index of a copy of the a_ops."""
+        def corrupt(ks):
             a = ks.a_ops.copy()
-            a[0] *= 2
+            a[index] = value
             return KrausSet(ks.resource_index, a, ks.b_ops)
 
-        detail = self._failed("projector_rank", corrupt_kraus=doubled)
-        assert detail == "projector 1 has rank 4.000000, expected 2"
+        return corrupt
+
+    @pytest.mark.parametrize(
+        "index, value, rank",
+        [(0, 2 * A_OPS_REFERENCE[0], "4.0"), ((0, 1, 1), 1 + 2j, "(2+1j)")],
+        ids=["doubled", "imaginary-trace"],
+    )
+    def test_a_projector_of_the_wrong_rank(self, index, value, rank):
+        detail = self._failed("projector_rank", corrupt_kraus=self._with_a_ops(index, value))
+        assert detail == f"projector 1 has rank {rank}, expected 2"
+
+    def test_measurement_operators_one_ulp_too_large(self):
+        # every entry is off by at most one ulp: round-off tolerances of 1e-12 passed this set
+        def scaled(ks):
+            return KrausSet(ks.resource_index, ks.a_ops * np.nextafter(1.0, 2.0), ks.b_ops)
+
+        results = {r.name: r for r in run_checks(count=8, corrupt_kraus=scaled)}
+        assert results["projector_rank"] == CheckResult(
+            "projector_rank", False, "projector 1 has rank 2.0000000000000004, expected 2"
+        )
+        assert results["kraus_completeness"] == CheckResult(
+            "kraus_completeness", False, "resource 1: sum K^dag K deviates from identity by 4.441e-16"
+        )
+
+    def test_a_projector_two_ulps_off_its_diagonal(self):
+        # the trace stays 2; P @ P moves by 2**-53, far inside any round-off tolerance
+        # (one ulp off this entry rounds back to even in P @ P and in sum K^dag K, so only the golden table sees it)
+        corrupt = self._with_a_ops((0, 0, 6), 1 + 2 * np.finfo(float).eps)
+        results = {r.name: r for r in run_checks(count=8, corrupt_kraus=corrupt)}
+        assert results["projector_rank"] == CheckResult("projector_rank", False, "projector 1 is not idempotent")
+        assert results["kraus_completeness"] == CheckResult(
+            "kraus_completeness", False, "resource 1: sum K^dag K deviates from identity by 2.220e-16"
+        )
+
+    @staticmethod
+    def _one_ulp_up(m, index):
+        m = np.array(m)
+        m[index] = np.nextafter(m[index].real, 2.0) + 1j * m[index].imag
+        return m
+
+    def test_a_bell_vector_one_ulp_off_its_pattern(self, monkeypatch):
+        basis = bell_basis()
+        off = Ket(self._one_ulp_up(basis[1].amplitudes, 1))
+        monkeypatch.setattr("qteleport.verify.bell_basis", lambda: (basis[0], off, *basis[2:]))
+        assert self._failed("bell_orthonormality") == "Bell vector 2 differs from its pattern times 2**-0.5"
+
+    def test_a_bell_pattern_with_one_sign_flipped(self, monkeypatch):
+        patterns = np.array(_BELL_PATTERNS)
+        patterns[3, 2] = 1  # the fourth pattern becomes the second
+        monkeypatch.setattr("qteleport.verify._BELL_PATTERNS", patterns)
+        assert self._failed("bell_orthonormality") == "Gram matrix of the Bell patterns differs from 2I"
+
+    def test_a_reduction_one_ulp_off_the_identity(self, monkeypatch):
+        monkeypatch.setattr(
+            "qteleport.verify.partial_trace", lambda *args: self._one_ulp_up(partial_trace(*args), (0, 0))
+        )
+        detail = self._failed("bell_reductions_maximally_mixed")
+        assert detail == "doubled Bell projector 1: the reduction onto factor 0 differs from I"
+
+    def test_a_published_correction_one_ulp_off(self, monkeypatch):
+        published = list(correction_set(1))
+        published[1] = self._one_ulp_up(published[1], (0, 1))
+
+        def production(resource):
+            return tuple(published) if resource == 1 else correction_set(resource)
+
+        monkeypatch.setattr("qteleport.verify.correction_set", production)
+        assert self._failed("correction_search") == "resource 1 outcome 2: derived correction is not phase-equivalent"
 
     def test_a_swap_matrix_off_the_golden_table(self, monkeypatch):
         monkeypatch.setattr("qteleport.verify.SWAP_0_2", identity(8))

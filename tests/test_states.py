@@ -433,6 +433,14 @@ def test_a_large_negative_eigenvalue_is_refused_as_not_positive(load, x):
     assert excinfo.value.violation == pytest.approx(x - 0.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("load", LOADERS, ids=["validate-density", "density-from-json"])
+def test_an_eigenvalue_past_the_largest_double_is_refused_as_not_positive(load):
+    # |z| is past the largest double, so the spectrum is +-inf: the eigenvalue -inf is refused as such
+    with pytest.raises(NotPositive) as excinfo:
+        load(_two_level(0.5, 1.5e308, 1.5e308))
+    assert excinfo.value.violation == np.inf
+
+
 def _two_level(p: float, re: float, im: float) -> np.ndarray:
     z = complex(re, im)
     return np.array([[p, z], [z.conjugate(), 1.0 - p]])
@@ -449,9 +457,10 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @example(_two_level(0.5, 1.5e308, 1.5e308))
 def test_validated_densities_have_a_finite_non_negative_spectrum(m):
     # an entry near the largest double overflows inside the checks, which must then refuse the matrix
+    # by its documented error: the spectrum guard's RuntimeError is not one
     try:
         rho = validate_density(m)
-    except (StateValidationError, RuntimeError):
+    except StateValidationError:
         return
     spectrum = np.linalg.eigvalsh(rho.matrix)
     assert np.isfinite(spectrum).all() and spectrum.min() >= -TOL_PSD

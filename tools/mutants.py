@@ -65,6 +65,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     "spectrum-guard-unscaled": (LINALG, "scale = max(map(abs, w)) or 1.0", "scale = 1.0"),
     "spectrum-guard-accepts-nan": (LINALG, "if not err <= bound:", "if err > bound:"),
     "spectrum-guard-dropped": (LINALG, "if not err <= bound:", "if False:"),
+    "overflow-rescale-dropped": (LINALG, "    if not isfinite(scale):", "    if False:"),
     "dim-rule-dropped": (LINALG, "if not (_is_int(dim) and dim >= 0):", "if not (True):"),
     # states
     "norm-as-squared-sum": (
@@ -132,6 +133,14 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     # verify and the CLI
     "numpy-bool-verdict-accepted": (VERIFY, '(("name", str), ("passed", bool),', '(("name", str), ("passed", (bool, np.bool_)),'),
+    "idempotence-within-round-off": (
+        VERIFY, "if not np.array_equal(p @ p, p):", "if not np.allclose(p @ p, p, rtol=0, atol=1e-12):"
+    ),
+    "completeness-within-round-off": (
+        VERIFY,
+        "if not np.array_equal(total, identity(8)):",
+        "if not np.allclose(total, identity(8), rtol=0, atol=1e-12):",
+    ),
     "corruption-flips-nothing": (
         VERIFY,
         "a[0, 0, 6] = -a[0, 0, 6] if a[0, 0, 6] != 0 else 1.0",
