@@ -30,8 +30,7 @@ PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 def identity(dim: int) -> np.ndarray:
     """The dim x dim complex identity; ValueError unless dim is a non-negative integer."""
-    _check_dim(dim)
-    return np.eye(dim, dtype=complex)
+    return np.eye(_check_int(dim, "dim"), dtype=complex)
 
 
 def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
@@ -89,10 +88,11 @@ def _is_int(x: object) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _check_dim(dim: object) -> None:
-    """ValueError unless dim, a matrix dimension, is a non-negative integer."""
-    if not (_is_int(dim) and dim >= 0):
-        raise ValueError(f"dim must be a non-negative integer, got {dim!r}")
+def _check_int(x: object, name: str, low: int = 0) -> int:
+    """x as a Python int; ValueError unless it is an integer >= low, 0 or 1: the one rule for dimensions, seeds and counts."""
+    if not (_is_int(x) and x >= low):
+        raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} integer, got {x!r}")
+    return int(x)
 
 
 def _is_real(x: object) -> bool:

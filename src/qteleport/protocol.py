@@ -23,6 +23,7 @@ from .linalg import (
     PAULI_Y,
     PAULI_Z,
     _check_factors,
+    _check_int,
     _check_type,
     _frozen,
     _is_int,
@@ -164,12 +165,6 @@ def _check_resource_index(index: int) -> int:
     return int(index)
 
 
-def _check_seed(rng_seed: object) -> None:
-    """ValueError unless rng_seed is a non-negative Python or numpy integer."""
-    if not _is_int(rng_seed) or rng_seed < 0:
-        raise ValueError(f"rng_seed must be a non-negative integer, got {rng_seed!r}")
-
-
 def bell_basis() -> tuple[Ket, Ket, Ket, Ket]:
     """The four Bell vectors in their conventional order; entry i-1 is vector i."""
     scale = 2.0 ** -0.5
@@ -282,11 +277,7 @@ def _shot(
     rho_in: DensityMatrix, ks: KrausSet, rng_seed: int | np.random.Generator
 ) -> tuple[tuple[float, ...], int, DensityMatrix]:
     """Outcome probabilities, the sampled outcome 1..4 and its corrected state."""
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)  # a Generator passes through as itself
     corrected, probabilities = _corrected_branches(rho_in, ks)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
@@ -330,7 +321,7 @@ def single_shot(
     ValueError.
     """
     if not isinstance(rng_seed, np.random.Generator):
-        _check_seed(rng_seed)
+        _check_int(rng_seed, "rng_seed")
     _, outcome, state = _shot(rho_in, ks, rng_seed)
     return outcome, state
 
@@ -357,7 +348,7 @@ def run_protocol(
     resource_index = _check_resource_index(resource_index)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_seed(rng_seed)
+    rng_seed = _check_int(rng_seed, "rng_seed")
     ks = kraus_set(resource_index)
     rho_in = build_initial_state(psi, resource_index)
 
@@ -373,7 +364,7 @@ def run_protocol(
         input_state=psi,
         resource_index=resource_index,
         mode=mode,
-        seed=int(rng_seed),
+        seed=rng_seed,
         outcome=outcome,
         outcome_probabilities=probabilities,  # type: ignore[arg-type]
         output_density=output,

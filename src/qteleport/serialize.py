@@ -14,8 +14,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .linalg import _check_type, as_complex_array
-from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, _check_seed, bell_basis, kraus_set
+from .linalg import _check_int, _check_type, as_complex_array
+from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, bell_basis, kraus_set
 from .states import DensityMatrix, Ket, QubitState, validate_density
 
 SIGNIFICANT_DIGITS = 12
@@ -155,13 +155,12 @@ def comparison_to_json(comparison: SwapComparison) -> dict[str, Any]:
 
 def checks_to_json(results: Sequence[Any], count: int, seed: int) -> dict[str, Any]:
     """verify document of run_checks results: a non-empty list or tuple of CheckResults; count and seed are echoed as ints."""
-    from .verify import CheckResult, _check_count  # verify is loaded wherever a CheckResult exists
+    from .verify import CheckResult  # verify is loaded wherever a CheckResult exists
     if not (isinstance(results, (list, tuple)) and results and all(isinstance(r, CheckResult) for r in results)):
         raise ValueError("results must be a list or tuple of one or more CheckResults")
-    _check_count(count)
-    _check_seed(seed)
+    count, seed = _check_int(count, "count", 1), _check_int(seed, "rng_seed")
     checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-    return {"count": int(count), "seed": int(seed), "passed": all(c["passed"] for c in checks), "checks": checks}
+    return {"count": count, "seed": seed, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def tables_to_json() -> dict[str, Any]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import StateValidationError
-from .linalg import NotHermitian, _check_dim, _check_type, _frozen, _hermitian, as_complex_array, eig_hermitian
+from .linalg import NotHermitian, _check_int, _check_type, _frozen, _hermitian, as_complex_array, eig_hermitian
 
 TOL_NORM = 1e-9
 TOL_PSD = 1e-10
@@ -183,7 +183,7 @@ def random_qubit_state(rng: np.random.Generator) -> QubitState:
 def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Full-rank random density matrix from a complex Ginibre factor."""
     _check_type(rng, np.random.Generator, "rng")
-    _check_dim(dim)  # 0 passes, and DensityMatrix names the empty matrix
+    _check_int(dim, "dim")  # 0 passes, and DensityMatrix names the empty matrix
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     # g g^dag by numpy's own loop, not BLAS, whose kernels round differently from CPU to CPU
     m = np.einsum("ik,jk->ij", g, g.conj())

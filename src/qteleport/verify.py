@@ -14,13 +14,12 @@ from typing import Callable
 import numpy as np
 
 from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import _check_type, _is_int, _is_real, dagger, identity, kron, partial_trace
+from .linalg import _check_int, _check_type, _is_real, dagger, identity, kron, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
     KrausSet,
     _BELL_PATTERNS,
-    _check_seed,
     bell_basis,
     build_initial_state,
     correction_set,
@@ -52,12 +51,6 @@ class CheckResult:
             _check_type(getattr(self, name), cls, name)
 
 
-def _check_count(count: object) -> None:
-    """ValueError unless count, the size of the random sweeps, is a positive integer."""
-    if not (_is_int(count) and count >= 1):
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-
-
 def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
     """Flip one entry of the first measurement operator.
 
@@ -70,12 +63,15 @@ def corrupted_for_negative_control(ks: KrausSet) -> KrausSet:
     return KrausSet(ks.resource_index, a, ks.b_ops)
 
 
-def _check_operator_tables(ks1: KrausSet) -> tuple[bool, str]:
-    for name, built, golden in (("A", ks1.a_ops, A_OPS_REFERENCE), ("B", ks1.b_ops, B_OPS_REFERENCE)):
-        for i, (m, g) in enumerate(zip(built, golden), start=1):
-            if not np.array_equal(m, g):
-                return False, f"{name}^{i} differs from the golden transcription"
-    return True, "all eight operators match the golden transcription exactly"
+def _check_operator_tables(sets: dict[int, KrausSet]) -> tuple[bool, str]:
+    for j, ks in sets.items():
+        # resource 1 has the published B table; the others are I (x) their hand-derived corrections, by numpy's kron
+        b_golden = B_OPS_REFERENCE if j == 1 else [np.kron(np.eye(4), c) for c in CORRECTIONS_REFERENCE[j]]
+        for name, built, golden in (("A", ks.a_ops, A_OPS_REFERENCE), ("B", ks.b_ops, b_golden)):
+            for i, (m, g) in enumerate(zip(built, golden), start=1):
+                if not np.array_equal(m, g):
+                    return False, f"resource {j}: {name}^{i} differs from the golden transcription"
+    return True, "all eight operators of every resource match the golden transcription exactly"
 
 
 def _check_bell_orthonormality() -> tuple[bool, str]:
@@ -95,14 +91,15 @@ def _check_bell_reductions() -> tuple[bool, str]:
     return True, "every single-factor reduction of a doubled Bell projector is exactly I"
 
 
-def _check_projector_rank(ks1: KrausSet) -> tuple[bool, str]:
-    for i, p in enumerate(ks1.projectors, start=1):
-        rank = complex(np.trace(p))
-        if rank != 2:  # repr prints a trace one ulp off 2 as such
-            return False, f"projector {i} has rank {rank if rank.imag else rank.real!r}, expected 2"
-        if not np.array_equal(p @ p, p):
-            return False, f"projector {i} is not idempotent"
-    return True, "all four projectors are idempotent with trace exactly 2"
+def _check_projector_rank(sets: dict[int, KrausSet]) -> tuple[bool, str]:
+    for j, ks in sets.items():
+        for i, p in enumerate(ks.projectors, start=1):
+            rank = complex(np.trace(p))
+            if rank != 2:  # repr prints a trace one ulp off 2 as such
+                return False, f"resource {j}: projector {i} has rank {rank if rank.imag else rank.real!r}, expected 2"
+            if not np.array_equal(p @ p, p):
+                return False, f"resource {j}: projector {i} is not idempotent"
+    return True, "all four projectors of every resource are idempotent with trace exactly 2"
 
 
 def _check_kraus_completeness(sets: dict[int, KrausSet]) -> tuple[bool, str]:
@@ -209,8 +206,8 @@ def run_checks(
     --tol, and corrupt_kraus is a callable or None; anything else raises
     ValueError before any check runs.
     """
-    _check_count(count)
-    _check_seed(rng_seed)
+    _check_int(count, "count", 1)
+    _check_int(rng_seed, "rng_seed")
     if not (_is_real(tol) and isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     if corrupt_kraus is not None and not callable(corrupt_kraus):
@@ -221,10 +218,10 @@ def run_checks(
         sets = {j: corrupt_kraus(ks) for j, ks in sets.items()}
 
     checks: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
-        ("operator_table_match", lambda: _check_operator_tables(sets[1])),
+        ("operator_table_match", lambda: _check_operator_tables(sets)),
         ("bell_orthonormality", _check_bell_orthonormality),
         ("bell_reductions_maximally_mixed", _check_bell_reductions),
-        ("projector_rank", lambda: _check_projector_rank(sets[1])),
+        ("projector_rank", lambda: _check_projector_rank(sets)),
         ("kraus_completeness", lambda: _check_kraus_completeness(sets)),
         ("swap_matrix_match", _check_swap_matrix),
         ("correction_search", _check_correction_search),

@@ -907,7 +907,7 @@ class TestRunChecksFailureDetails:
             return KrausSet(ks.resource_index, ks.a_ops, ks.b_ops[[1, 0, 2, 3]])
 
         detail = self._failed("operator_table_match", corrupt_kraus=swapped)
-        assert detail == "B^1 differs from the golden transcription"
+        assert detail == "resource 1: B^1 differs from the golden transcription"
 
     @staticmethod
     def _with_a_ops(index, value):
@@ -926,7 +926,7 @@ class TestRunChecksFailureDetails:
     )
     def test_a_projector_of_the_wrong_rank(self, index, value, rank):
         detail = self._failed("projector_rank", corrupt_kraus=self._with_a_ops(index, value))
-        assert detail == f"projector 1 has rank {rank}, expected 2"
+        assert detail == f"resource 1: projector 1 has rank {rank}, expected 2"
 
     def test_measurement_operators_one_ulp_too_large(self):
         # every entry is off by at most one ulp: round-off tolerances of 1e-12 passed this set
@@ -935,7 +935,7 @@ class TestRunChecksFailureDetails:
 
         results = {r.name: r for r in run_checks(count=8, corrupt_kraus=scaled)}
         assert results["projector_rank"] == CheckResult(
-            "projector_rank", False, "projector 1 has rank 2.0000000000000004, expected 2"
+            "projector_rank", False, "resource 1: projector 1 has rank 2.0000000000000004, expected 2"
         )
         assert results["kraus_completeness"] == CheckResult(
             "kraus_completeness", False, "resource 1: sum K^dag K deviates from identity by 4.441e-16"
@@ -946,10 +946,37 @@ class TestRunChecksFailureDetails:
         # (one ulp off this entry rounds back to even in P @ P and in sum K^dag K, so only the golden table sees it)
         corrupt = self._with_a_ops((0, 0, 6), 1 + 2 * np.finfo(float).eps)
         results = {r.name: r for r in run_checks(count=8, corrupt_kraus=corrupt)}
-        assert results["projector_rank"] == CheckResult("projector_rank", False, "projector 1 is not idempotent")
+        assert results["projector_rank"] == CheckResult("projector_rank", False, "resource 1: projector 1 is not idempotent")
         assert results["kraus_completeness"] == CheckResult(
             "kraus_completeness", False, "resource 1: sum K^dag K deviates from identity by 2.220e-16"
         )
+
+    @staticmethod
+    def _in_resource(resource, field, index, value):
+        """A corrupt_kraus that writes value at index of a copy of field, a_ops or b_ops, of one resource only."""
+        def corrupt(ks):
+            if ks.resource_index != resource:
+                return ks
+            ops = {"a_ops": ks.a_ops.copy(), "b_ops": ks.b_ops.copy()}
+            ops[field][index] = value
+            return KrausSet(ks.resource_index, **ops)
+
+        return corrupt
+
+    @pytest.mark.parametrize(
+        "resource, field, index, value, detail",
+        [
+            (3, "a_ops", (0, 0, 6), np.nextafter(1.0, 2.0), "resource 3: A^1 differs from the golden transcription"),
+            (4, "b_ops", (3, 0, 0), np.nextafter(1.0, 2.0), "resource 4: B^4 differs from the golden transcription"),
+            (4, "b_ops", (0, 2, 2), 2.0**-60, "resource 4: B^1 differs from the golden transcription"),
+        ],
+        ids=["resource-3-A-one-ulp-up", "resource-4-B-one-ulp-up", "resource-4-B-zero-off-by-2**-60"],
+    )
+    def test_an_operator_of_another_resource_off_its_table(self, resource, field, index, value, detail):
+        # each fault rounds away in sum K^dag K and in every sampled check, so only the tables see it
+        corrupt = self._in_resource(resource, field, index, value)
+        results = {r.name: r for r in run_checks(count=25, rng_seed=7, corrupt_kraus=corrupt)}
+        assert results["operator_table_match"] == CheckResult("operator_table_match", False, detail)
 
     @staticmethod
     def _one_ulp_up(m, index):

@@ -66,7 +66,9 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     "spectrum-guard-accepts-nan": (LINALG, "if not err <= bound:", "if err > bound:"),
     "spectrum-guard-dropped": (LINALG, "if not err <= bound:", "if False:"),
     "overflow-rescale-dropped": (LINALG, "    if not isfinite(scale):", "    if False:"),
-    "dim-rule-dropped": (LINALG, "if not (_is_int(dim) and dim >= 0):", "if not (True):"),
+    "dim-rule-dropped": (LINALG, 'np.eye(_check_int(dim, "dim"), dtype=complex)', "np.eye(dim, dtype=complex)"),
+    "int-rule-ignores-low": (LINALG, "if not (_is_int(x) and x >= low):", "if not (_is_int(x) and x >= 0):"),
+    "int-rule-returns-input": (LINALG, "    return int(x)\n", "    return x\n"),
     # states
     "norm-as-squared-sum": (
         STATES,
@@ -108,7 +110,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "single-shot-seed-unchecked": (
         PROTOCOL,
-        "        _check_seed(rng_seed)\n    _, outcome, state",
+        '        _check_int(rng_seed, "rng_seed")\n    _, outcome, state',
         "        pass\n    _, outcome, state",
     ),
     "probability-sum-accepts-nan": (PROTOCOL, "if not total_dev <= 1e-10:", "if total_dev > 1e-10:"),
@@ -141,6 +143,11 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "if not np.array_equal(total, identity(8)):",
         "if not np.allclose(total, identity(8), rtol=0, atol=1e-12):",
     ),
+    "other-resources-unchecked": (
+        VERIFY,
+        '("operator_table_match", lambda: _check_operator_tables(sets)),',
+        '("operator_table_match", lambda: _check_operator_tables({1: sets[1]})),',
+    ),
     "corruption-flips-nothing": (
         VERIFY,
         "a[0, 0, 6] = -a[0, 0, 6] if a[0, 0, 6] != 0 else 1.0",
@@ -152,10 +159,10 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
 # name -> (file, old, new, why no test can tell the mutant from the original); listed, never run
 EQUIVALENT: dict[str, tuple[str, str, str, str]] = {
     "seed-bound-as-minus-one": (
-        PROTOCOL,
-        "if not _is_int(rng_seed) or rng_seed < 0:",
-        "if not _is_int(rng_seed) or rng_seed <= -1:",
-        "on integers, which are all that pass _is_int, x < 0 and x <= -1 agree",
+        LINALG,
+        "_is_int(x) and x >= low)",
+        "_is_int(x) and x > low - 1)",
+        "on integers, which are all that pass _is_int, x >= low and x > low - 1 agree",
     ),
 }
 
