@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import isfinite, prod
+from math import isfinite, nan, prod
 from numbers import Real
 from operator import mul
 from typing import Iterable, Sequence
@@ -159,18 +159,28 @@ class NotHermitian(StateValidationError):
     pass
 
 
-def _hermitian(a: object, name: str = "matrix") -> np.ndarray:
-    """a as a complex array; ValueError unless finite, square and non-empty, NotHermitian above TOL_HERM."""
-    a = as_complex_array(a, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.size == 0:
-        raise ValueError(f"{name} must be non-empty, got shape {a.shape}")
-    NotHermitian._check(f"{name} is not Hermitian", float(abs(a - a.conj().T).max()), TOL_HERM)
-    return a
+def _hermitian(a: object, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """a as a complex array, a stack with ndim 3; ValueError unless finite, square, non-empty; NotHermitian above TOL_HERM."""
+    try:
+        m = np.asarray(a, dtype=complex)
+        square = m.ndim == ndim and m.shape[-1] == m.shape[-2] and m.size > 0
+    except (TypeError, ValueError):
+        square = False
+    # The bound proves finiteness: each entry of a - a^H is x - conj(y), NaN or +-inf when x or y is (inf - inf is NaN);
+    # its modulus is then NaN or inf (hypot(inf, nan) is inf), and max keeps a NaN. So only a failed bound looks for the
+    # input's first error, as before the bound. Callers ignore numpy's overflow and invalid warnings: the bound decides.
+    violation = float(abs(m - m.conj().swapaxes(-1, -2)).max()) if square else nan
+    if not violation <= TOL_HERM:
+        m = as_complex_array(a, name)
+        if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+            raise ValueError(f"{name} must be square, got shape {m.shape}")
+        if m.size == 0:
+            raise ValueError(f"{name} must be non-empty, got shape {m.shape}")
+        NotHermitian._check(f"{name} is not Hermitian", violation, TOL_HERM)
+    return m
 
 
-@np.errstate(over="ignore")  # an overflowing a - a^H in _hermitian, or eigenvalue scaled back, is inf without a warning
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite or overflowing a - a^H, or eigenvalue scaled back, is unwarned
 def eig_hermitian(a: np.ndarray) -> np.ndarray:
     """The eigenvalues of a complex Hermitian matrix, descending, by LAPACK (numpy eigvalsh).
 

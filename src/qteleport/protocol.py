@@ -36,8 +36,8 @@ from .states import (
     DensityMatrix,
     Ket,
     QubitState,
+    _density_stack,
     fidelity_pure,
-    ket_to_density,
     purity,
     von_neumann_entropy,
 )
@@ -187,7 +187,8 @@ def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatr
     """Pre-protocol state: |psi><psi| on factor 0, Bell resource on factors 1, 2."""
     _check_type(psi, QubitState, "psi")
     resource_index = _check_resource_index(resource_index)
-    return DensityMatrix(kron(ket_to_density(psi.ket()).matrix, _BELL_DENSITIES[resource_index - 1]))
+    v = psi.ket().amplitudes
+    return DensityMatrix(kron(np.outer(v, v.conj()), _BELL_DENSITIES[resource_index - 1]))
 
 
 # Production correction table for resource 1, exactly as published: the
@@ -300,10 +301,10 @@ def measurement_branches(
     instead of a normalized state.
     """
     corrected, probabilities = _corrected_branches(rho_in, ks)
-    return tuple(
-        (max(p, 0.0), None) if p <= MIN_BRANCH_PROBABILITY else (p, DensityMatrix(corrected[i] / p))
-        for i, p in enumerate(probabilities)
-    )
+    p = np.array(probabilities)
+    built = ~(p <= MIN_BRANCH_PROBABILITY)
+    states = iter(_density_stack(corrected[built] / p[built, None, None]))
+    return tuple((q, next(states)) if b else (max(q, 0.0), None) for q, b in zip(probabilities, built.tolist()))
 
 
 def single_shot(

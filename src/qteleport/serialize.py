@@ -19,11 +19,12 @@ from .protocol import SWAP_0_2, BranchSummary, ProtocolReport, SwapComparison, b
 from .states import DensityMatrix, Ket, QubitState, validate_density
 
 SIGNIFICANT_DIGITS = 12
+_FORMAT = f"%.{SIGNIFICANT_DIGITS}g"
 
 
 def _number(x: float) -> float | int:
     """x rounded to SIGNIFICANT_DIGITS, an int when integral: the one number format of every document."""
-    r = float(f"{float(x):.{SIGNIFICANT_DIGITS}g}")
+    r = float(_FORMAT % float(x))
     return int(r) if r.is_integer() and abs(r) < 2**53 else r
 
 
@@ -36,6 +37,10 @@ def matrix_to_json(m: np.ndarray) -> dict[str, Any]:
     m = as_complex_array(m)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
+    return _matrix_doc(m)
+
+
+def _matrix_doc(m: np.ndarray) -> dict[str, Any]:
     flat = m.reshape(-1)
     return {
         "rows": int(m.shape[0]),
@@ -87,7 +92,7 @@ def matrix_from_json(doc: dict[str, Any]) -> np.ndarray:
 
 def density_to_json(rho: DensityMatrix) -> dict[str, Any]:
     _check_type(rho, DensityMatrix, "rho")
-    return {"kind": "density", **matrix_to_json(rho.matrix)}
+    return {"kind": "density", **_matrix_doc(rho.matrix)}
 
 
 def density_from_json(doc: dict[str, Any]) -> DensityMatrix:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,14 +57,17 @@ class QubitState:
 
     alpha: complex
     beta: complex
+    _ket: Ket = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        alpha, beta = _unit_amplitudes((self.alpha, self.beta), "qubit amplitudes").tolist()
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        v = _unit_amplitudes((self.alpha, self.beta), "qubit amplitudes")
+        k = object.__new__(Ket)  # v is what Ket's own check would certify: not again
+        object.__setattr__(k, "amplitudes", v)
+        for name, value in zip(("alpha", "beta", "_ket"), (*v.tolist(), k)):
+            object.__setattr__(self, name, value)
 
     def ket(self) -> Ket:
-        return Ket(np.array([self.alpha, self.beta], dtype=complex))
+        return self._ket
 
 
 def qubit_state(alpha: complex, beta: complex, renormalize: bool = False) -> QubitState:
@@ -105,15 +108,33 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflowing check measures inf or nan and fails, with no warning
     def __post_init__(self) -> None:
-        m = _hermitian(self.matrix, "density matrix").copy()
-        TraceNotOne._check("density matrix trace differs from 1", abs(complex(m.trace()) - 1.0), TOL_NORM)
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", _frozen(_check_density(self.matrix).copy()))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_density(m: object, ndim: int = 2) -> np.ndarray:
+    """m as a complex array of one matrix (ndim 3: a stack), each Hermitian with unit trace, or what DensityMatrix raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry or an overflow measures inf or nan: no warning
+        m = _hermitian(m, "density matrix", ndim)
+        for trace in m.trace(axis1=-2, axis2=-1).reshape(-1).tolist():
+            TraceNotOne._check("density matrix trace differs from 1", abs(trace - 1.0), TOL_NORM)
+    return m
+
+
+def _density_stack(stack: np.ndarray) -> tuple[DensityMatrix, ...]:
+    """DensityMatrix(m) for each m of a new (k, d, d) complex stack, checked as one and frozen."""
+    try:
+        _check_density(stack, 3)
+    except ValueError:  # built one by one, the first failing matrix raises its own error
+        return tuple(map(DensityMatrix, stack))
+    states = tuple(object.__new__(DensityMatrix) for _ in stack)  # each m has passed DensityMatrix's check: not again
+    for rho, m in zip(states, _frozen(stack)):
+        object.__setattr__(rho, "matrix", m)
+    return states
 
 
 def _psd_spectrum(rho: DensityMatrix) -> np.ndarray:
@@ -168,8 +189,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     _check_type(rho, DensityMatrix, "rho")
     eigenvalues = _psd_spectrum(rho)
     support = eigenvalues[eigenvalues > TOL_PSD]
-    p = support / np.sum(support)
-    return float(np.sum(p * np.log2(1.0 / p)))
+    p = support / np.add.reduce(support)
+    return float(np.add.reduce(p * np.log2(1.0 / p)))
 
 
 def random_qubit_state(rng: np.random.Generator) -> QubitState:

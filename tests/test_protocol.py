@@ -15,6 +15,7 @@ from helpers import (
     random_ginibre_density,
     run_python,
 )
+from qteleport import protocol, states
 from qteleport.linalg import approx_eq, dagger, identity, kron, partial_trace
 from qteleport.protocol import (
     ENSEMBLE,
@@ -22,6 +23,7 @@ from qteleport.protocol import (
     SINGLE_SHOT,
     SWAP_0_2,
     THREE_QUBITS,
+    SwapComparison,
     _BELL_PATTERNS,
     _CANDIDATE_PAULIS,
     KrausSet,
@@ -834,25 +836,47 @@ class TestStackedPasses:
         assert approx_eq(build_initial_state(psi, resource).matrix, expected, 1e-15)
 
     @pytest.mark.parametrize(
-        "op, densities, kets",
+        "op, matrices",
         [
-            (lambda psi, j: run_protocol(psi, j, ENSEMBLE, 0), 9, 2),
-            (lambda psi, j: run_protocol(psi, j, SINGLE_SHOT, 3), 5, 2),
-            (lambda psi, j: compare_swap_vs_teleport(psi), 8, 3),
+            (lambda psi, j: run_protocol(psi, j, ENSEMBLE, 0), 8),
+            (lambda psi, j: run_protocol(psi, j, SINGLE_SHOT, 3), 4),
+            (lambda psi, j: compare_swap_vs_teleport(psi), 7),
         ],
         ids=["ensemble", "single-shot", "compare"],
     )
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
-    def test_every_state_is_still_validated(self, op, densities, kets, resource, monkeypatch):
-        counts = {DensityMatrix: 0, Ket: 0}
-        for cls in counts:
-            def counted(self, check=cls.__post_init__, cls=cls):
-                counts[cls] += 1
-                check(self)
+    def test_every_state_is_still_validated(self, op, matrices, resource, monkeypatch):
+        """Each state is checked once where it is made, a stack once per matrix; every state reached holds a checked value."""
+        checked, amplitudes, branches = [], [], []
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
-        op(QubitState(0.6, 0.8j), resource)
-        assert counts == {DensityMatrix: densities, Ket: kets}
+        def check_density(m, ndim=2, check=states._check_density):
+            out = check(m, ndim)
+            checked.extend(out.reshape(-1, *out.shape[-2:]))
+            return out
+
+        def unit_amplitudes(*args, check=states._unit_amplitudes, **kwargs):
+            amplitudes.append(check(*args, **kwargs))
+            return amplitudes[-1]
+
+        def recorded_branches(*args, run=measurement_branches):
+            out = run(*args)
+            branches.extend(state for _, state in out if state is not None)
+            return out
+
+        monkeypatch.setattr(states, "_check_density", check_density)
+        monkeypatch.setattr(states, "_unit_amplitudes", unit_amplitudes)
+        monkeypatch.setattr(protocol, "measurement_branches", recorded_branches)
+        psi = QubitState(0.6, 0.8j)
+        result = op(psi, resource)
+        assert len(checked) == matrices
+        assert len(amplitudes) == 1
+        assert result.input_state.ket().amplitudes is amplitudes[0]
+        if isinstance(result, SwapComparison):
+            reached = [getattr(b, name) for b in (result.teleport, result.swap) for name in ("marginal_12", "marginal_3")]
+        else:
+            reached = [result.output_density, result.marginal_12, result.marginal_3]
+        for rho in reached + branches:
+            assert any(rho.matrix.tobytes() == m.tobytes() for m in checked)
 
 
 class TestRunChecksBoundary:

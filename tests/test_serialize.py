@@ -347,6 +347,29 @@ class TestDumps:
     def test_other_values_fall_back_to_the_stdlib(self, doc):
         assert dumps(doc) == json.dumps(doc, indent=2)
 
+    @pytest.mark.parametrize(
+        "value",
+        [10**400, float("nan"), float("inf"), -float("inf"), True, np.float64(0.5), -0.0, 10**5000],
+        ids=["int-past-double", "nan", "inf", "-inf", "bool", "numpy-float", "negative-zero", "int-past-str-limit"],
+    )
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_a_pair_list_with_an_odd_value_prints_or_fails_as_the_stdlib(self, value, position):
+        pair = [0.5, 0.5]
+        pair[position] = value
+        doc = {"entries": [[1, 0.25], pair, [0, -1.5]]}
+        try:
+            expected = json.dumps(doc, indent=2)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as ours:
+                dumps(doc)
+            assert str(ours.value) == str(exc)
+            return
+        assert dumps(doc) == expected
+
+    def test_a_pair_list_with_a_three_element_row_prints_as_the_stdlib(self):
+        doc = {"entries": [[1, 0.25], [0.5, 0.5, 0.5], [0, -1.5]]}
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
     def test_unserializable_value_raises_the_stdlib_error(self):
         doc = {"a": [1, object()]}
         with pytest.raises(TypeError) as ours:

@@ -19,6 +19,7 @@ from qteleport.states import (
     QubitState,
     StateValidationError,
     TraceNotOne,
+    _density_stack,
     _unit_amplitudes,
     fidelity_pure,
     ket,
@@ -464,3 +465,124 @@ def test_validated_densities_have_a_finite_non_negative_spectrum(m):
         return
     spectrum = np.linalg.eigvalsh(rho.matrix)
     assert np.isfinite(spectrum).all() and spectrum.min() >= -TOL_PSD
+
+
+def test_a_qubit_state_keeps_the_ket_of_its_checked_amplitudes():
+    psi = QubitState(0.6, 0.8j)
+    assert psi.ket() is psi.ket()
+    assert psi.ket().amplitudes.tobytes() == Ket(np.array([psi.alpha, psi.beta])).amplitudes.tobytes()
+    assert not psi.ket().amplitudes.flags.writeable
+
+
+def _entry(value, part):
+    return complex(value, 0.0) if part == "real" else complex(0.0, value)
+
+
+# Where a NaN or an infinity can sit in a 2x2 input: finiteness is tested only once the Hermiticity bound fails,
+# so each placement must still make a - a^H NaN or inf. Each row: (id, matrix of the entry).
+NON_FINITE_PLACEMENTS = [
+    ("diagonal", lambda z: [[z, 0], [0, 1]]),
+    ("pair-same-sign", lambda z: [[0.5, z], [z, 0.5]]),
+    ("pair-opposite-signs", lambda z: [[0.5, z], [-z, 0.5]]),
+    ("pair-conjugate", lambda z: [[0.5, z], [z.conjugate(), 0.5]]),
+    ("one-of-a-pair", lambda z: [[0.5, z], [0, 0.5]]),
+    ("non-square", lambda z: [[0.5, 0, z], [0, 0.5, 0]]),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("placement", [m for _, m in NON_FINITE_PLACEMENTS], ids=[i for i, _ in NON_FINITE_PLACEMENTS])
+@pytest.mark.parametrize(
+    "check, name",
+    [
+        (DensityMatrix, "density matrix"),
+        (eig_hermitian, "matrix"),
+        (lambda m: _density_stack(np.array([m])), "density matrix"),
+    ],
+    ids=["density-matrix", "eig-hermitian", "stack"],
+)
+def test_a_non_finite_entry_fails_as_non_finite_wherever_it_sits(check, name, placement, part, value):
+    # no numpy warning is silenced here: under filterwarnings = ["error"] a leaked one fails the test
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+        check(np.array(placement(_entry(value, part))))
+
+
+@pytest.mark.parametrize(
+    "m, error",
+    [
+        (np.empty((0, 0)), r"must be non-empty, got shape \(0, 0\)"),
+        (np.empty((0, 2)), r"must be square, got shape \(0, 2\)"),
+        ([[np.nan, 0], [0]], "must be a regular array of numbers"),
+        ([[None, 0], [0, 1]], "must be a regular array of numbers"),
+    ],
+    ids=["empty", "empty-non-square", "ragged-with-nan", "none"],
+)
+@pytest.mark.parametrize("check, name", [(DensityMatrix, "density matrix"), (eig_hermitian, "matrix")])
+def test_inputs_that_cannot_be_measured_raise_their_first_error(check, name, m, error):
+    with pytest.raises(ValueError, match=f"^{name} {error}$"):
+        check(m)
+
+
+STACK_FAULTS = ["non-hermitian", "off-trace", "overflowing-trace", "nan", "inf", "-inf"]
+
+
+def _stack_slice(d, parts, fault, at, part):
+    """A d x d Hermitian unit-trace matrix from the drawn parts, then broken as fault says."""
+    g = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(d, d)
+    m = g + g.conj().T
+    m[np.diag_indices(d)] = 1.0 / d
+    if fault == "non-hermitian":
+        m[0, d - 1] += 1e-6j
+    elif fault == "off-trace":
+        m[0, 0] += 1e-6
+    elif fault == "overflowing-trace":
+        m[np.diag_indices(d)] = 1e308
+    elif fault != "valid":
+        m.reshape(-1)[at] = _entry(float(fault), part)
+    return m
+
+
+def _stacks(d):
+    one = st.tuples(
+        st.just(d),
+        st.lists(st.floats(-1.0, 1.0), min_size=2 * d * d, max_size=2 * d * d),
+        st.one_of(st.just("valid"), st.sampled_from(STACK_FAULTS)),
+        st.integers(0, d * d - 1),
+        st.sampled_from(["real", "imag"]),
+    )
+    return st.lists(one.map(lambda drawn: _stack_slice(*drawn)), min_size=1, max_size=4)
+
+
+def _stack_of(*faults, d=3):
+    return [_stack_slice(d, [0.25] * (2 * d * d), fault, 1, "imag") for fault in faults]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(_stacks))
+@example(_stack_of("valid", "off-trace"))
+@example(_stack_of("valid", "valid", "valid", "non-hermitian"))
+@example(_stack_of("valid", "overflowing-trace", "nan"))
+@example(_stack_of("off-trace", "nan"))
+def test_a_stack_is_accepted_and_refused_as_its_matrices_are_one_by_one(matrices):
+    stack = np.array(matrices)
+    first_error = None
+    for m in stack:
+        try:
+            DensityMatrix(m)
+        except ValueError as exc:
+            first_error = exc
+            break
+    if first_error is None:
+        states = _density_stack(stack.copy())
+        assert len(states) == len(stack)
+        assert all(isinstance(rho, DensityMatrix) and rho.matrix.tobytes() == m.tobytes() for rho, m in zip(states, stack))
+        assert not any(rho.matrix.flags.writeable for rho in states)
+        return
+    with pytest.raises(ValueError) as excinfo:
+        _density_stack(stack.copy())
+    assert type(excinfo.value) is type(first_error)
+    assert str(excinfo.value) == str(first_error)
+    expected = getattr(first_error, "violation", None)
+    got = getattr(excinfo.value, "violation", None)
+    assert got == expected or (np.isnan(got) and np.isnan(expected))
