@@ -23,7 +23,6 @@ __all__ = [
     "SwapComparison",
     "THREE_QUBITS",
     "TraceNotOne",
-    "approx_eq",
     "bell_basis",
     "build_initial_state",
     "compare_swap_vs_teleport",

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from math import isfinite, nan, prod
 from numbers import Real
-from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .base import StateValidationError
 
-TOL_APPROX = 1e-12
 TOL_HERM = 1e-10
 TOL_SPECTRUM = 1e-14
 
@@ -53,34 +52,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor most significant in the basis index."""
+    """Kronecker product of finite arrays, first factor most significant in the basis index: numpy's kron."""
     if not factors:
         raise ValueError("kron requires at least one factor")
-    out = as_complex_array(factors[0], "kron factor")
-    for f in factors[1:]:
-        f = as_complex_array(f, "kron factor")
-        # np.kron's elementwise products: both padded to one ndim with leading 1s,
-        # then axis k of out interleaved before axis k of f
-        nd = max(out.ndim, f.ndim)
-        a = out[(None,) * (nd - out.ndim) + (...,)]
-        b = f[(None,) * (nd - f.ndim) + (...,)]
-        # the ufunc, not `*`: numpy's scalar multiply of two 0-d factors can round otherwise
-        products = np.multiply(a[(slice(None), None) * nd], b[(None, slice(None)) * nd])
-        out = products.reshape(tuple(map(mul, a.shape, b.shape)))
-    return out
-
-
-def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
-    """True iff the max entrywise modulus difference of two finite arrays is <= tol, a finite real tolerance >= 0."""
-    if not (_is_real(tol) and isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
-    a = as_complex_array(a, "a")
-    b = as_complex_array(b, "b")
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return True
-    return float(np.max(np.abs(a - b))) <= tol
+    # np.asarray: numpy's kron of two 0-d factors is a scalar
+    return np.asarray(reduce(np.kron, [as_complex_array(f, "kron factor") for f in factors]))
 
 
 def _is_int(x: object) -> bool:

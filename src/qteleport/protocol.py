@@ -28,7 +28,6 @@ from .linalg import (
     _frozen,
     _is_int,
     as_complex_array,
-    dagger,
     identity,
     kron,
 )
@@ -416,7 +415,7 @@ def compare_swap_vs_teleport(psi: QubitState) -> SwapComparison:
     """
     rho_in = build_initial_state(psi, 1)
     teleported = teleport_channel(rho_in, kraus_set(1))
-    swapped = DensityMatrix(SWAP_0_2 @ rho_in.matrix @ dagger(SWAP_0_2))
+    swapped = DensityMatrix(SWAP_0_2 @ rho_in.matrix @ SWAP_0_2)  # a real symmetric permutation is its own dagger
     return SwapComparison(
         input_state=psi,
         teleport=_summarize_branch(True, teleported, psi),

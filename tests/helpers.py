@@ -2,7 +2,8 @@
 
 Everything here is computed by a route the production code does not use:
 closed-form patterns transcribed by hand, numpy's eigensolver, explicit
-Pauli algebra, or exact arithmetic over Gaussian rationals. run_python
+Pauli algebra, or exact arithmetic over Gaussian rationals. approx_eq is
+the tests' entrywise comparison within a tolerance, in plain numpy. run_python
 starts a fresh interpreter on this checkout's sources, for what only a new
 process shows: which modules an entry point imports.
 """
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import isfinite
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,24 @@ I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+TOL_APPROX = 1e-12
+
+
+def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
+    """True iff the max entrywise modulus difference of two finite arrays is <= tol, a finite real tolerance >= 0."""
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("approx_eq takes finite arrays")
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        return True
+    return float(np.max(np.abs(a - b))) <= tol
 
 
 def initial_state_pattern(alpha: complex, beta: complex) -> np.ndarray:

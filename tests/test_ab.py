@@ -1,9 +1,13 @@
-"""The paired A/B runner's statistics and pairing, on fixed inputs (no benchmark runs)."""
+"""The paired A/B runner's statistics, pairing and environment record, on fixed inputs (no benchmark runs)."""
 
 import json
+import platform
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -118,3 +122,42 @@ def test_a_run_that_fails_its_checker_fails_the_comparison(monkeypatch, capsys, 
     assert ab.main(["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
                     "--workload", "sweep", "--pairs", "2", "--seconds", "1"]) == 1
     assert json.loads(capsys.readouterr().out)["all_correct"] is False
+
+
+ENVIRONMENT_KEYS = {"cpu_model", "blas", "openblas_coretype", "pythondontwritebytecode", "python", "numpy",
+                    "git_head", "git_dirty"}
+
+
+def test_the_document_names_the_environment_of_both_trees(monkeypatch, capsys, tmp_path):
+    spec = json.loads((Path(ab.ROOT) / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in spec["end_to_end"]}
+    monkeypatch.setattr(ab, "run_once", lambda *args: {"correct": True, "metrics": metrics})
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert ab.main(["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
+                    "--workload", "sweep", "--pairs", "2", "--seconds", "1"]) == 0
+    env = json.loads(capsys.readouterr().out)["environment"]
+    assert set(env) == ENVIRONMENT_KEYS
+    assert env["openblas_coretype"] == "Prescott" and env["pythondontwritebytecode"] is None
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert isinstance(env["cpu_model"], str) and env["cpu_model"]
+    assert env["blas"] is None or isinstance(env["blas"], str)
+    # neither tree is a git checkout
+    assert env["git_head"] == env["git_dirty"] == {"base": None, "head": None}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_each_tree_reports_its_commit_and_whether_it_has_changes(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=tmp_path,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    clean = ab.environment({"head": tmp_path})
+    assert clean["git_head"] == {"head": git("rev-parse", "HEAD")}
+    assert clean["git_dirty"] == {"head": False}
+    (tmp_path / "a.txt").write_text("b\n")
+    assert ab.environment({"head": tmp_path})["git_dirty"] == {"head": True}

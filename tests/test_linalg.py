@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_ginibre_density, random_hermitian
+from helpers import approx_eq, random_ginibre_density, random_hermitian
 from qteleport.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    approx_eq,
     dagger,
     eig_hermitian,
     identity,

@@ -123,8 +123,6 @@ WRONG_TYPE_CASES = {
     "checks_to_json-seed": (lambda: serialize.checks_to_json([_PASSED], 1, "x"), _must_be_a("non-negative integer")),
     "CheckResult": (lambda: verify.CheckResult("a", np.True_, "x"), _must_be_a("bool")),
     "complex_pair": (lambda: serialize.complex_pair(None), _must_be_a("Complex")),
-    "approx_eq-none": (lambda: linalg.approx_eq(None, None), _must_be_a("regular array")),
-    "approx_eq-str": (lambda: linalg.approx_eq("a", "b"), _must_be_a("regular array")),
     "identity": (lambda: linalg.identity("x"), _must_be_a("non-negative integer")),
     "dagger": (lambda: linalg.dagger(None), _must_be_a("regular array")),
     "random_qubit_state": (lambda: states.random_qubit_state(None), _must_be_a("Generator")),

@@ -10,13 +10,14 @@ from helpers import (
     BAD_SEEDS,
     HAND_DERIVED_CORRECTIONS,
     PUBLISHED_RESOURCE_1_CORRECTIONS,
+    approx_eq,
     haar_qubit_amplitudes,
     initial_state_pattern,
     random_ginibre_density,
     run_python,
 )
 from qteleport import protocol, states
-from qteleport.linalg import approx_eq, dagger, identity, kron, partial_trace
+from qteleport.linalg import dagger, identity, kron, partial_trace
 from qteleport.protocol import (
     ENSEMBLE,
     RESOURCE_INDICES,
@@ -633,6 +634,23 @@ class TestCompareSwapVsTeleport:
 
         assert main(["dump-tables", "--output", "json"]) == EXIT_OK
         assert all(r.passed for r in run_checks(count=10))
+
+    def test_the_swap_is_its_own_dagger_so_the_swapped_state_is_the_conjugation(self, monkeypatch):
+        assert np.array_equal(SWAP_0_2, dagger(SWAP_0_2))
+        outputs = {}
+        summarize = protocol._summarize_branch
+
+        def spy(requires_bell_resource, output, psi):
+            outputs[requires_bell_resource] = output
+            return summarize(requires_bell_resource, output, psi)
+
+        monkeypatch.setattr(protocol, "_summarize_branch", spy)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            psi = QubitState(*haar_qubit_amplitudes(rng))
+            compare_swap_vs_teleport(psi)
+            rho = build_initial_state(psi, 1).matrix
+            assert np.array_equal(outputs[False].matrix, SWAP_0_2 @ rho @ dagger(SWAP_0_2))
 
     def test_resource_flags(self):
         comparison = compare_swap_vs_teleport(QubitState(1, 0))

@@ -12,6 +12,14 @@ JSON document on stdout, each side's median and quartiles
 medians against the base's quartile distance, and a verdict against the
 metric's bound. Progress goes to stderr.
 
+The document's ``environment`` object says what both trees ran on:
+``cpu_model`` (``model name`` of /proc/cpuinfo), ``blas`` (the name and
+version of numpy's BLAS, from ``numpy.show_config``; null before numpy 1.26),
+``openblas_coretype`` and ``pythondontwritebytecode`` (those variables, null
+when unset), ``python`` and ``numpy`` (their versions), and, per tree,
+``git_head`` (the commit its ``.git/HEAD`` names) and ``git_dirty`` (whether
+``git status --porcelain`` lists a change), both null outside a git checkout.
+
 Verdicts: "worse" when the head's median is worse than the base's by more than
 the bound (a relative change); "better" when the head won at least nine pairs
 in ten, ties counting for neither, and its median is better by more than the
@@ -26,14 +34,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 from repeat import RUN_TIMEOUT_S, summarize  # noqa: E402
+import run  # noqa: E402
 
 WIN_SHARE = 0.9
 
@@ -45,6 +57,33 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, 
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _dirty(tree: Path) -> bool | None:
+    """Whether ``git status --porcelain`` lists a change in tree; None outside a git checkout or without git."""
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain"], cwd=tree, capture_output=True, text=True, timeout=60)
+    except OSError:
+        return None
+    return proc.stdout != "" if proc.returncode == 0 else None
+
+
+def environment(trees: dict[str, Path]) -> dict[str, Any]:
+    """The machine, BLAS, interpreter and commits behind a comparison (see the module docstring)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        blas_name = None
+    shared = run.environment(seed=0)
+    return {
+        **{k: shared[k] for k in ("cpu_model", "python", "numpy")},
+        "blas": blas_name,
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+        "pythondontwritebytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "git_head": {side: run.git_commit(tree) for side, tree in trees.items()},
+        "git_dirty": {side: _dirty(tree) for side, tree in trees.items()},
+    }
 
 
 def compare(base: list[float], head: list[float], better: str, bound: float) -> dict[str, Any]:
@@ -103,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({
         "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
         "seeds": [r["seed"] for r in runs], "trees": {k: str(v) for k, v in trees.items()},
-        "all_correct": correct, "metrics": metrics,
+        "environment": environment(trees), "all_correct": correct, "metrics": metrics,
         "runs": [{"seed": r["seed"], "first": r["first"],
                   **{side: {k: v["value"] for k, v in r[side]["metrics"].items() if k in metrics} for side in trees}}
                  for r in runs],

@@ -42,11 +42,6 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     # base
     "bound-accepts-nan": (BASE, "if not violation <= bound:", "if violation > bound:"),
     # linalg
-    "kron-axes-swapped": (
-        LINALG,
-        "np.multiply(a[(slice(None), None) * nd], b[(None, slice(None)) * nd])",
-        "np.multiply(a[(None, slice(None)) * nd], b[(slice(None), None) * nd])",
-    ),
     "read-only-rule-dropped": (LINALG, "    m.setflags(write=False)\n", "    m.setflags(write=True)\n"),
     "bool-counts-as-int": (
         LINALG,
@@ -54,11 +49,6 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "return isinstance(x, (int, np.integer))",
     ),
     "type-check-dropped": (LINALG, "    if not isinstance(x, cls):\n", "    if x is cls:\n"),
-    "tolerance-finiteness-dropped": (
-        LINALG,
-        "if not (_is_real(tol) and isfinite(tol) and tol >= 0):",
-        "if not (_is_real(tol) and tol >= 0):",
-    ),
     "keep-guard-dropped": (LINALG, "    if not kept:\n", "    if kept is None:\n"),
     "empty-matrix-accepted": (LINALG, "        if m.size == 0:\n            raise", "        if m.size < 0:\n            raise"),
     "hermiticity-bound-loosened": (LINALG, 'is not Hermitian", violation, TOL_HERM)', 'is not Hermitian", violation, 1.0)'),
@@ -89,6 +79,12 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "support = eigenvalues[eigenvalues > 0]",
     ),
     # protocol
+    "kron-axes-swapped": (
+        PROTOCOL,
+        "kron(np.outer(v, v.conj()), _BELL_DENSITIES[resource_index - 1])",
+        "kron(_BELL_DENSITIES[resource_index - 1], np.outer(v, v.conj()))",
+    ),
+    "initial-state-conjugate-dropped": (PROTOCOL, "kron(np.outer(v, v.conj()), _BELL", "kron(np.outer(v, v), _BELL"),
     "bell-pattern-sign": (PROTOCOL, "        [0, 1, -1, 0],\n", "        [0, -1, 1, 0],\n"),
     "projectors-from-the-module": (PROTOCOL, '("projectors", a / 2.0)', '("projectors", _A_OPS / 2.0)'),
     "channel-ignores-its-set": (
@@ -138,6 +134,11 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "isinstance(results, (list, tuple)) and all(",
     ),
     # verify and the CLI
+    "tolerance-finiteness-dropped": (
+        VERIFY,
+        "if not (_is_real(tol) and isfinite(tol) and tol > 0):",
+        "if not (_is_real(tol) and tol > 0):",
+    ),
     "numpy-bool-verdict-accepted": (VERIFY, '(("name", str), ("passed", bool),', '(("name", str), ("passed", (bool, np.bool_)),'),
     "idempotence-within-round-off": (
         VERIFY, "if not np.array_equal(p @ p, p):", "if not np.allclose(p @ p, p, rtol=0, atol=1e-12):"
