@@ -27,7 +27,6 @@ __all__ = [
     "build_initial_state",
     "compare_swap_vs_teleport",
     "correction_set",
-    "dagger",
     "derive_corrections",
     "eig_hermitian",
     "fidelity_pure",
@@ -42,7 +41,6 @@ __all__ = [
     "qubit_state",
     "run_protocol",
     "single_shot",
-    "swap_gate",
     "teleport_channel",
     "validate_density",
     "von_neumann_entropy",

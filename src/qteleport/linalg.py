@@ -46,11 +46,6 @@ def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a finite array of numbers."""
-    return as_complex_array(a).conj().T
-
-
 def kron(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of finite arrays, first factor most significant in the basis index: numpy's kron."""
     if not factors:
@@ -83,39 +78,30 @@ def _check_type(x: object, cls: type, name: str) -> None:
         raise ValueError(f"{name} must be a {cls.__name__}, got {type(x)!r}")
 
 
-def _check_factors(dims: Sequence[int], indices: Iterable[int] = ()) -> tuple[tuple[int, ...], list[int]]:
-    """dims and factor indices as Python ints.
-
-    ValueError unless dims is a non-empty tuple or list of positive integers
-    and every index names one of its factors; Python and numpy integers
-    count, bools do not.
-    """
-    if not isinstance(dims, (tuple, list)) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
-        raise ValueError(f"factor dims must be a non-empty tuple of positive integers, got {dims!r}")
-    try:
-        indices = list(indices)
-    except TypeError:
-        raise ValueError(f"factor index set must be iterable, got {indices!r}") from None
-    for i in indices:
-        if not _is_int(i) or not 0 <= i < len(dims):
-            raise ValueError(f"factor index {i!r} out of range for {len(dims)} factors")
-    return tuple(map(int, dims)), list(map(int, indices))
-
-
 def partial_trace(a: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Reduce a square matrix on the tensor factors of dims to those listed in keep.
 
     Factor 0 is the most significant digit of the basis index, so the factors
     are the axes of a.reshape(dims + dims). Kept factors stay in their
-    original order regardless of the order of the keep set.
+    original order regardless of the order of the keep set. ValueError unless
+    dims is a non-empty tuple or list of positive integers and every kept
+    index names one of its factors; Python and numpy integers count, bools do not.
     """
-    dims, kept = _check_factors(dims, keep)
+    if not isinstance(dims, (tuple, list)) or not dims or not all(_is_int(d) and d >= 1 for d in dims):
+        raise ValueError(f"factor dims must be a non-empty tuple of positive integers, got {dims!r}")
+    try:
+        kept = list(keep)
+    except TypeError:
+        raise ValueError(f"factor index set must be iterable, got {keep!r}") from None
+    for i in kept:
+        if not _is_int(i) or not 0 <= i < len(dims):
+            raise ValueError(f"factor index {i!r} out of range for {len(dims)} factors")
+    dims, kept = tuple(map(int, dims)), sorted({int(i) for i in kept})
     a = as_complex_array(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"partial_trace requires a square matrix, got shape {a.shape}")
     if a.shape[0] != prod(dims):
         raise ValueError(f"matrix dimension {a.shape[0]} does not match factor dims {dims}")
-    kept = sorted(set(kept))
     if not kept:
         raise ValueError("keep set must not be empty")
 

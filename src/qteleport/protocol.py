@@ -11,7 +11,6 @@ touches a physically composite system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from typing import ClassVar
 
 import numpy as np
@@ -22,7 +21,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    _check_factors,
     _check_int,
     _check_type,
     _frozen,
@@ -375,20 +373,9 @@ def run_protocol(
     )
 
 
-def swap_gate(dims: tuple[int, ...], p: int, q: int) -> np.ndarray:
-    """Permutation unitary exchanging tensor factors p and q of dims."""
-    dims, (p, q) = _check_factors(dims, (p, q))
-    if p == q:
-        raise ValueError("swap factors must differ")
-    if dims[p] != dims[q]:
-        raise ValueError(f"cannot swap factors of unequal dimension {dims[p]} and {dims[q]}")
-    dim = prod(dims)
-    # Swapping two row axes of the identity sends |..a_p..a_q..> to |..a_q..a_p..>.
-    return identity(dim).reshape(dims + dims).swapaxes(p, q).reshape(dim, dim)
-
-
 # The exchange of factors 0 and 2 that compare_swap_vs_teleport and dump-tables use.
-SWAP_0_2 = _frozen(swap_gate(THREE_QUBITS, 0, 2))
+# Swapping row axes 0 and 2 of the identity sends |a b c> to |c b a>.
+SWAP_0_2 = _frozen(identity(8).reshape(THREE_QUBITS * 2).swapaxes(0, 2).reshape(8, 8))
 
 
 def _summarize_branch(requires_bell_resource: bool, output: DensityMatrix, psi: QubitState) -> BranchSummary:

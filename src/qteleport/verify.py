@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import _check_int, _check_type, _is_real, dagger, identity, kron, partial_trace
+from .linalg import _check_int, _check_type, _is_real, identity, kron, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
@@ -125,7 +125,7 @@ def _check_correction_search() -> tuple[bool, str]:
                 return False, f"resource {j} outcome {i}: derived correction differs from the hand-derived table"
     # resource 1 is the one published production table; the others are the derived tables themselves
     for i, (d, p) in enumerate(zip(derive_corrections(1), correction_set(1)), start=1):
-        overlap = dagger(d) @ p
+        overlap = d.conj().T @ p
         # equal up to a global phase iff the unitary U_d^dag U_p is a multiple of the identity
         if not np.array_equal(overlap, overlap[0, 0] * np.eye(2)):
             return False, f"resource 1 outcome {i}: derived correction is not phase-equivalent"

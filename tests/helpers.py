@@ -3,7 +3,8 @@
 Everything here is computed by a route the production code does not use:
 closed-form patterns transcribed by hand, numpy's eigensolver, explicit
 Pauli algebra, or exact arithmetic over Gaussian rationals. approx_eq is
-the tests' entrywise comparison within a tolerance, in plain numpy. run_python
+the tests' entrywise comparison within a tolerance, and dagger their
+conjugate transpose, both in plain numpy. run_python
 starts a fresh interpreter on this checkout's sources, for what only a new
 process shows: which modules an entry point imports.
 """
@@ -44,6 +45,11 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
     if a.size == 0:
         return True
     return float(np.max(np.abs(a - b))) <= tol
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(a, dtype=complex).conj().T
 
 
 def initial_state_pattern(alpha: complex, beta: complex) -> np.ndarray:

@@ -11,12 +11,13 @@ import numpy as np
 from helpers import (
     PUBLISHED_RESOURCE_1_CORRECTIONS,
     approx_eq,
+    dagger,
     haar_qubit_amplitudes,
     initial_state_pattern,
     random_ginibre_density,
 )
 from qteleport.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from qteleport.linalg import dagger, identity, kron, partial_trace
+from qteleport.linalg import identity, kron, partial_trace
 from qteleport.protocol import (
     RESOURCE_INDICES,
     THREE_QUBITS,

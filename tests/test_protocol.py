@@ -11,13 +11,14 @@ from helpers import (
     HAND_DERIVED_CORRECTIONS,
     PUBLISHED_RESOURCE_1_CORRECTIONS,
     approx_eq,
+    dagger,
     haar_qubit_amplitudes,
     initial_state_pattern,
     random_ginibre_density,
     run_python,
 )
 from qteleport import protocol, states
-from qteleport.linalg import dagger, identity, kron, partial_trace
+from qteleport.linalg import identity, kron, partial_trace
 from qteleport.protocol import (
     ENSEMBLE,
     RESOURCE_INDICES,
@@ -39,7 +40,6 @@ from qteleport.protocol import (
     measurement_branches,
     run_protocol,
     single_shot,
-    swap_gate,
     teleport_channel,
 )
 from qteleport.reference import A_OPS_REFERENCE, B_OPS_REFERENCE, SWAP_0_2_REFERENCE
@@ -545,59 +545,22 @@ class TestCorrections:
 
 class TestSwapGate:
     def test_matches_golden_exactly(self):
-        assert np.array_equal(swap_gate(THREE_QUBITS, 0, 2), SWAP_0_2_REFERENCE)
+        assert np.array_equal(SWAP_0_2, SWAP_0_2_REFERENCE)
 
     def test_row_one_maps_to_column_four(self):
-        assert swap_gate(THREE_QUBITS, 0, 2)[1, 4] == 1.0
+        assert SWAP_0_2[1, 4] == 1.0
 
     def test_involution(self):
-        swap = swap_gate(THREE_QUBITS, 0, 2)
-        assert np.array_equal(swap @ swap, identity(8))
+        assert np.array_equal(SWAP_0_2 @ SWAP_0_2, identity(8))
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_conjugation_moves_input_to_last_factor(self, resource):
         psi = QubitState(0.6, 0.8j)
         rho_in = build_initial_state(psi, resource)
-        swap = swap_gate(THREE_QUBITS, 0, 2)
-        moved = swap @ rho_in.matrix @ dagger(swap)
+        moved = SWAP_0_2 @ rho_in.matrix @ dagger(SWAP_0_2)
         bell_u = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]])[resource - 1]
         expected = kron(np.outer(bell_u, bell_u) / 2.0, ket_to_density(psi.ket()).matrix)
         assert approx_eq(moved, expected, 1e-10)
-
-    def test_general_factorizations(self):
-        swap = swap_gate((2, 3, 2), 0, 2)
-        assert approx_eq(swap @ swap, identity(12), 0.0)
-        # |a b c> -> |c b a> on the mixed-radix index 6a + 2b + c
-        for n in range(12):
-            a, b, c = n // 6, (n // 2) % 3, n % 2
-            assert swap[6 * c + 2 * b + a, n] == 1.0
-        assert np.array_equal(swap_gate((2, 2, 2), 0, 2), SWAP_0_2_REFERENCE)
-        assert np.array_equal(swap_gate(THREE_QUBITS, np.int64(2), np.int64(0)), SWAP_0_2_REFERENCE)
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            swap_gate(THREE_QUBITS, 1, 1)
-        with pytest.raises(ValueError):
-            swap_gate(THREE_QUBITS, 0, 3)
-        with pytest.raises(ValueError):
-            swap_gate((2, 4), 0, 1)
-
-    @pytest.mark.parametrize(
-        "dims,p,q",
-        [
-            (THREE_QUBITS, 0.0, 2),
-            (THREE_QUBITS, True, 2),
-            (THREE_QUBITS, 0, np.float64(2.0)),
-            (THREE_QUBITS, -1, 2),
-            ((2, 2.0, 2), 0, 2),
-            ("222", 0, 2),
-            ((), 0, 1),
-        ],
-        ids=["float-index", "bool-index", "numpy-float-index", "negative-index", "float-dim", "str-dims", "empty-dims"],
-    )
-    def test_rejects_malformed_dims_and_indices(self, dims, p, q):
-        with pytest.raises(ValueError, match="factor"):
-            swap_gate(dims, p, q)
 
 
 class TestCompareSwapVsTeleport:
@@ -618,14 +581,9 @@ class TestCompareSwapVsTeleport:
         assert approx_eq(comparison.swap.marginal_12.matrix, np.outer(bell_u, bell_u) / 2.0, 1e-10)
         assert approx_eq(comparison.teleport.marginal_12.matrix, identity(4) / 4.0, 1e-10)
 
-    def test_uses_the_swap_matrix_built_at_import(self, monkeypatch):
+    def test_uses_the_swap_matrix_built_at_import(self):
         assert np.array_equal(SWAP_0_2, SWAP_0_2_REFERENCE)
         assert not SWAP_0_2.flags.writeable
-
-        def fail(*args):
-            raise AssertionError("swap_gate was called again")
-
-        monkeypatch.setattr("qteleport.protocol.swap_gate", fail)
         comparison = compare_swap_vs_teleport(QubitState(0.6, 0.8))
         assert comparison.swap.fidelity_3 == pytest.approx(1.0, abs=1e-9)
         # dump-tables and the verify suite read the same constant

@@ -115,7 +115,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "probability-sum-accepts-nan": (PROTOCOL, "if not total_dev <= 1e-10:", "if total_dev > 1e-10:"),
     "marginal-transposed": (PROTOCOL, 'np.einsum("ajak->jk", tensor)', 'np.einsum("ajak->kj", tensor)'),
-    "swap-gate-without-swap": (PROTOCOL, ".swapaxes(p, q)", ".swapaxes(p, p)"),
+    "swap-gate-without-swap": (PROTOCOL, ".swapaxes(0, 2)", ".swapaxes(0, 0)"),
     # serialize
     "entropy-unrounded": (
         SERIALIZE,
