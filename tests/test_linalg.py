@@ -1,5 +1,7 @@
 """Core dense-complex algebra: products, tensor structure, Hermitian eigensolver."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,24 @@ class TestPartialTrace:
     def test_rejects_bad_keep(self, keep):
         with pytest.raises(ValueError, match="factor index"):
             partial_trace(identity(8) / 8.0, (2, 2, 2), keep)
+
+    @pytest.mark.parametrize(
+        "dims,keep,message",
+        [
+            ((2, 2, 2), [0.0, 2], "factor index 0.0 out of range for 3 factors"),
+            ((2, 2, 2), [True, 2], "factor index True out of range for 3 factors"),
+            ((2, 2, 2), [0, np.float64(2.0)], f"factor index {np.float64(2.0)!r} out of range for 3 factors"),
+            ((2, 2, 2), [-1, 2], "factor index -1 out of range for 3 factors"),
+            ((2, 2.0, 2), [0, 2], "factor dims must be a non-empty tuple of positive integers, got (2, 2.0, 2)"),
+            ("222", [0, 2], "factor dims must be a non-empty tuple of positive integers, got '222'"),
+            ((), [0, 1], "factor dims must be a non-empty tuple of positive integers, got ()"),
+        ],
+        ids=["float-index", "bool-index", "numpy-float-index", "negative-index", "float-dim", "str-dims", "empty-dims"],
+    )
+    def test_rejects_malformed_dims_and_indices(self, dims, keep, message):
+        # the dims and index checks, word for word, that partial_trace took over from the factor swap
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            partial_trace(identity(8) / 8.0, dims, keep)
 
 
 class TestEigHermitian:

@@ -42,6 +42,13 @@ def test_each_name_is_the_object_of_its_home_module(name):
     assert getattr(home, name) is value
 
 
+@pytest.mark.parametrize("name,home", [("dagger", linalg), ("swap_gate", protocol)])
+def test_a_deleted_helper_is_gone_from_the_package_and_its_home_module(name, home):
+    assert name not in qteleport.__all__
+    assert not hasattr(qteleport, name)
+    assert not hasattr(home, name)
+
+
 def test_star_import_binds_every_name_and_dir_lists_them():
     namespace = {}
     exec("from qteleport import *", namespace)

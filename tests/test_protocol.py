@@ -553,6 +553,24 @@ class TestSwapGate:
     def test_involution(self):
         assert np.array_equal(SWAP_0_2 @ SWAP_0_2, identity(8))
 
+    def test_sends_abc_to_cba(self):
+        # |a b c> -> |c b a> on the big-endian index 4a + 2b + c
+        for n in range(8):
+            a, b, c = n // 4, (n // 2) % 2, n % 2
+            assert np.array_equal(SWAP_0_2 @ np.eye(8)[n], np.eye(8)[4 * c + 2 * b + a])
+
+    def test_is_its_own_dagger(self):
+        # compare_swap_vs_teleport conjugates by SWAP_0_2 on both sides
+        assert np.array_equal(dagger(SWAP_0_2), SWAP_0_2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conjugation_exchanges_the_outer_marginals(self, seed):
+        rho = random_ginibre_density(np.random.default_rng(seed), 8)
+        moved = SWAP_0_2 @ rho @ SWAP_0_2
+        assert approx_eq(partial_trace(moved, THREE_QUBITS, {0}), partial_trace(rho, THREE_QUBITS, {2}), 1e-12)
+        assert approx_eq(partial_trace(moved, THREE_QUBITS, {2}), partial_trace(rho, THREE_QUBITS, {0}), 1e-12)
+        assert approx_eq(partial_trace(moved, THREE_QUBITS, {1}), partial_trace(rho, THREE_QUBITS, {1}), 1e-12)
+
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_conjugation_moves_input_to_last_factor(self, resource):
         psi = QubitState(0.6, 0.8j)
