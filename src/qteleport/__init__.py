@@ -1,10 +1,37 @@
 """Teleportation of one virtual qubit inside a single eight-level system.
 
-The names in __all__ are bound on first use (PEP 562): importing the package,
-or the CLI before it has parsed its arguments, does not import numpy.
+The root defines the numpy-free names the CLI needs before it computes; the
+rest of __all__ binds on first use (PEP 562), so importing it loads no numpy.
 """
 
 __version__ = "0.1.0"
+
+ENSEMBLE = "ensemble"
+SINGLE_SHOT = "single-shot"
+MODES = (ENSEMBLE, SINGLE_SHOT)
+
+RESOURCE_INDICES = (1, 2, 3, 4)
+
+DEFAULT_SWEEP_COUNT = 1000
+DEFAULT_TOL = 1e-9
+
+
+class StateValidationError(ValueError):
+    """A matrix or amplitude vector fails a state invariant.
+
+    The measured size of the violation is stored on .violation.
+    """
+
+    def __init__(self, message: str, violation: float):
+        super().__init__(f"{message} (violation {violation:.3e})")
+        self.violation = violation
+
+    @classmethod
+    def _check(cls, message: str, violation: float, bound: float) -> None:
+        """The state guards' one bound rule: raise cls(message, violation) unless violation <= bound; NaN fails."""
+        if not violation <= bound:
+            raise cls(message, violation)
+
 
 __all__ = [
     "BranchSummary",

@@ -10,7 +10,7 @@ from collections.abc import Iterable, Iterator
 from functools import partial
 from typing import Any
 
-from .base import (
+from . import (
     DEFAULT_SWEEP_COUNT,
     DEFAULT_TOL,
     ENSEMBLE,

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import StateValidationError
+from . import StateValidationError
 
 TOL_HERM = 1e-10
 TOL_SPECTRUM = 1e-14

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .base import ENSEMBLE, MODES, RESOURCE_INDICES, SINGLE_SHOT
+from . import ENSEMBLE, MODES, RESOURCE_INDICES
 from .linalg import (
     IDENTITY_2,
     PAULI_X,

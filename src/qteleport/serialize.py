@@ -10,6 +10,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from numbers import Complex
+from sys import float_info
 from typing import Any, Sequence
 
 import numpy as np
@@ -30,6 +31,8 @@ def _number(x: float) -> float | int:
 
 def complex_pair(z: complex) -> list[float | int]:
     _check_type(z, Complex, "z")
+    if isinstance(z, bool) or not all(abs(x) <= float_info.max for x in (z.real, z.imag)):
+        raise ValueError(f"z must be a finite number within float range and not a bool, got {z!r}")
     return [_number(z.real), _number(z.imag)]
 
 

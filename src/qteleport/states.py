@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import StateValidationError
+from . import StateValidationError
 from .linalg import NotHermitian, _check_int, _check_type, _frozen, _hermitian, as_complex_array, eig_hermitian
 
 TOL_NORM = 1e-9

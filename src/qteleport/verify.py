@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
+from . import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
 from .linalg import _check_int, _check_type, _is_real, identity, kron, partial_trace
 from .protocol import (
     SWAP_0_2,

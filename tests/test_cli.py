@@ -455,6 +455,15 @@ class TestColdStart:
         proc = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
+    def test_reading_the_roots_own_names_loads_no_numpy(self):
+        proc = run_python(
+            "import importlib.util, sys, qteleport\n"
+            "qteleport.StateValidationError, qteleport.MODES, qteleport.RESOURCE_INDICES\n"
+            "qteleport.DEFAULT_TOL, qteleport.DEFAULT_SWEEP_COUNT\n"
+            "print('numpy' in sys.modules, importlib.util.find_spec('qteleport.base'))"
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False None\n", "")
+
     def test_help(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         code, out, err, numpy_loaded = _run_cold("--help")

@@ -105,9 +105,6 @@ class TestKron:
 
 
 class TestDagger:
-    def test_identity(self):
-        assert np.array_equal(dagger(identity(4)), identity(4))
-
     def test_golden_correction_operator_is_unitary(self):
         b4 = B_OPS_REFERENCE[3]
         assert np.array_equal(dagger(b4) @ b4, identity(8))

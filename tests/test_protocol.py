@@ -17,12 +17,9 @@ from helpers import (
     random_ginibre_density,
     run_python,
 )
-from qteleport import protocol, states
+from qteleport import ENSEMBLE, RESOURCE_INDICES, SINGLE_SHOT, protocol, states
 from qteleport.linalg import identity, kron, partial_trace
 from qteleport.protocol import (
-    ENSEMBLE,
-    RESOURCE_INDICES,
-    SINGLE_SHOT,
     SWAP_0_2,
     THREE_QUBITS,
     SwapComparison,

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BAD_COUNTS, BAD_SEEDS, run_python
+from qteleport import ENSEMBLE, SINGLE_SHOT
 from qteleport.linalg import identity
 from qteleport.protocol import (
-    ENSEMBLE,
-    SINGLE_SHOT,
     SWAP_0_2,
     BranchSummary,
     ProtocolReport,
@@ -26,6 +25,7 @@ from qteleport.serialize import (
     _number,
     checks_to_json,
     comparison_to_json,
+    complex_pair,
     density_from_json,
     density_to_json,
     dumps,
@@ -102,6 +102,15 @@ class TestMatrixSchema:
         key = "amplitudes" if load is ket_from_json else "entries"
         with pytest.raises(ValueError, match=rf"{key}\[0\] must be a \[re, im\] pair of numbers"):
             load({**doc, key: [pair]})
+
+    @pytest.mark.parametrize(
+        "z",
+        [True, False, float("inf"), complex(0, float("-inf")), float("nan"), 10**400, -(10**400)],
+        ids=["true", "false", "inf", "imaginary-minus-inf", "nan", "int-beyond-float", "negative-int-beyond-float"],
+    )
+    def test_complex_pair_refuses_what_the_loaders_refuse(self, z):
+        with pytest.raises(ValueError, match="^z must be a finite number within float range and not a bool, got "):
+            complex_pair(z)
 
     def test_significant_digit_rounding(self):
         assert _number(1 / 3) == 0.333333333333

@@ -29,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "tools", "bench", "BENCHMARK.json", "pyproject.toml")
 TIMEOUT_S = 600
 
-BASE = "src/qteleport/base.py"
+PACKAGE = "src/qteleport/__init__.py"
 LINALG = "src/qteleport/linalg.py"
 STATES = "src/qteleport/states.py"
 PROTOCOL = "src/qteleport/protocol.py"
@@ -39,8 +39,8 @@ CLI = "src/qteleport/cli.py"
 
 # name -> (file, old, new); the families earlier hand-run checks used, and the rules of each layer
 MUTANTS: dict[str, tuple[str, str, str]] = {
-    # base
-    "bound-accepts-nan": (BASE, "if not violation <= bound:", "if violation > bound:"),
+    # the package root
+    "bound-accepts-nan": (PACKAGE, "if not violation <= bound:", "if violation > bound:"),
     # linalg
     "read-only-rule-dropped": (LINALG, "    m.setflags(write=False)\n", "    m.setflags(write=True)\n"),
     "bool-counts-as-int": (
