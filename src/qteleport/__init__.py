@@ -61,13 +61,11 @@ __all__ = [
     "ket",
     "ket_to_density",
     "kraus_set",
-    "kron",
     "measurement_branches",
     "partial_trace",
     "purity",
     "qubit_state",
     "run_protocol",
-    "single_shot",
     "teleport_channel",
     "validate_density",
     "von_neumann_entropy",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import reduce
 from math import isfinite, nan, prod
 from numbers import Real
 from typing import Iterable, Sequence
@@ -44,14 +43,6 @@ def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
             raise ValueError(f"{name} must be a regular array of numbers")
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of finite arrays, first factor most significant in the basis index: numpy's kron."""
-    if not factors:
-        raise ValueError("kron requires at least one factor")
-    # np.asarray: numpy's kron of two 0-d factors is a scalar
-    return np.asarray(reduce(np.kron, [as_complex_array(f, "kron factor") for f in factors]))
 
 
 def _is_int(x: object) -> bool:

@@ -27,7 +27,6 @@ from .linalg import (
     _is_int,
     as_complex_array,
     identity,
-    kron,
 )
 from .states import (
     DensityMatrix,
@@ -109,7 +108,10 @@ class ProtocolReport:
         _check_type(self.input_state, QubitState, "input_state")
         for name in ("output_density", "marginal_12", "marginal_3"):
             _check_type(getattr(self, name), DensityMatrix, name)
-        probs = tuple(float(p) for p in self.outcome_probabilities)
+        try:
+            probs = tuple(float(p) for p in self.outcome_probabilities)
+        except TypeError:  # None, or an entry that is no real number
+            raise ValueError("outcome_probabilities must be a sequence of 4 real numbers") from None
         if len(probs) != 4:
             raise ValueError(f"expected 4 outcome probabilities, got {len(probs)}")
         total_dev = abs(sum(probs) - 1.0)
@@ -175,7 +177,7 @@ def _doubled_bell_projector(index: int) -> np.ndarray:
 
 
 # The measurement operators A^i = 2 |beta^i><beta^i| (x) I, shared by every resource.
-_A_OPS = _frozen(np.stack([kron(_doubled_bell_projector(i), IDENTITY_2) for i in RESOURCE_INDICES]))
+_A_OPS = _frozen(np.stack([np.kron(_doubled_bell_projector(i), IDENTITY_2) for i in RESOURCE_INDICES]))
 # |beta^i><beta^i|, the resource state on factors 1 and 2; entry i-1 is resource i.
 _BELL_DENSITIES = tuple(_frozen(_doubled_bell_projector(i) / 2.0) for i in RESOURCE_INDICES)
 
@@ -185,7 +187,7 @@ def build_initial_state(psi: QubitState, resource_index: int = 1) -> DensityMatr
     _check_type(psi, QubitState, "psi")
     resource_index = _check_resource_index(resource_index)
     v = psi.ket().amplitudes
-    return DensityMatrix(kron(np.outer(v, v.conj()), _BELL_DENSITIES[resource_index - 1]))
+    return DensityMatrix(np.kron(np.outer(v, v.conj()), _BELL_DENSITIES[resource_index - 1]))
 
 
 # Production correction table for resource 1, exactly as published: the
@@ -236,7 +238,7 @@ def correction_set(resource_index: int) -> tuple[np.ndarray, ...]:
 
 # The production channel, built once at import; entry j-1 is resource j.
 _KRAUS_SETS = tuple(
-    KrausSet(j, _A_OPS, [kron(identity(4), u) for u in correction_set(j)]) for j in RESOURCE_INDICES
+    KrausSet(j, _A_OPS, [np.kron(identity(4), u) for u in correction_set(j)]) for j in RESOURCE_INDICES
 )
 
 
@@ -271,11 +273,9 @@ def _corrected_branches(rho_in: DensityMatrix, ks: KrausSet) -> tuple[np.ndarray
     return ks.b_ops @ projected @ ks.b_ops.conj().transpose(0, 2, 1), probabilities
 
 
-def _shot(
-    rho_in: DensityMatrix, ks: KrausSet, rng_seed: int | np.random.Generator
-) -> tuple[tuple[float, ...], int, DensityMatrix]:
+def _shot(rho_in: DensityMatrix, ks: KrausSet, rng_seed: int) -> tuple[tuple[float, ...], int, DensityMatrix]:
     """Outcome probabilities, the sampled outcome 1..4 and its corrected state."""
-    rng = np.random.default_rng(rng_seed)  # a Generator passes through as itself
+    rng = np.random.default_rng(rng_seed)
     corrected, probabilities = _corrected_branches(rho_in, ks)
     eligible = [i for i, p in enumerate(probabilities) if p > MIN_BRANCH_PROBABILITY]
     if not eligible:
@@ -302,26 +302,6 @@ def measurement_branches(
     built = ~(p <= MIN_BRANCH_PROBABILITY)
     states = iter(_density_stack(corrected[built] / p[built, None, None]))
     return tuple((q, next(states)) if b else (max(q, 0.0), None) for q, b in zip(probabilities, built.tolist()))
-
-
-def single_shot(
-    rho_in: DensityMatrix,
-    ks: KrausSet,
-    rng_seed: int | np.random.Generator,
-) -> tuple[int, DensityMatrix]:
-    """Sample one Bell outcome and return (outcome 1..4, corrected state).
-
-    Sampling draws a single uniform variate from a PCG64 generator seeded
-    with rng_seed and inverts the cumulative distribution of the outcome
-    probabilities, restricted to branches above MIN_BRANCH_PROBABILITY.
-    Only the sampled branch's corrected state is built. rng_seed is a
-    Generator or a seed as run_protocol takes it; anything else raises
-    ValueError.
-    """
-    if not isinstance(rng_seed, np.random.Generator):
-        _check_int(rng_seed, "rng_seed")
-    _, outcome, state = _shot(rho_in, ks, rng_seed)
-    return outcome, state
 
 
 def _marginals(out: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:

@@ -31,9 +31,11 @@ def _number(x: float) -> float | int:
 
 def complex_pair(z: complex) -> list[float | int]:
     _check_type(z, Complex, "z")
-    if isinstance(z, bool) or not all(abs(x) <= float_info.max for x in (z.real, z.imag)):
+    # a numpy float compares as a Python float: numpy would cast DBL_MAX to a float32 part's type, which overflows
+    parts = [float(x) if isinstance(x, np.floating) else x for x in (z.real, z.imag)]
+    if isinstance(z, bool) or not all(abs(x) <= float_info.max for x in parts):
         raise ValueError(f"z must be a finite number within float range and not a bool, got {z!r}")
-    return [_number(z.real), _number(z.imag)]
+    return [_number(x) for x in parts]
 
 
 def matrix_to_json(m: np.ndarray) -> dict[str, Any]:

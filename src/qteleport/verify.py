@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import _check_int, _check_type, _is_real, identity, kron, partial_trace
+from .linalg import _check_int, _check_type, _is_real, identity, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
@@ -167,7 +167,7 @@ def _check_fidelity_sweep(
         psi = random_qubit_state(rng)
         out = teleport_channel(build_initial_state(psi, j), sets[j])
         sigma = ket_to_density(psi.ket()).matrix
-        expected = kron(identity(4) / 4.0, sigma)
+        expected = np.kron(identity(4) / 4.0, sigma)
         worst_block = max(worst_block, float(np.max(np.abs(out.matrix - expected))))
         marginal_3 = DensityMatrix(partial_trace(out.matrix, THREE_QUBITS, {2}))
         worst_fid = min(worst_fid, fidelity_pure(psi.ket(), marginal_3))

@@ -3,10 +3,11 @@
 Everything here is computed by a route the production code does not use:
 closed-form patterns transcribed by hand, numpy's eigensolver, explicit
 Pauli algebra, or exact arithmetic over Gaussian rationals. approx_eq is
-the tests' entrywise comparison within a tolerance, and dagger their
-conjugate transpose, both in plain numpy. run_python
-starts a fresh interpreter on this checkout's sources, for what only a new
-process shows: which modules an entry point imports.
+the tests' entrywise comparison within a tolerance, dagger their
+conjugate transpose and kron_all their product of three or more tensor
+factors, all in plain numpy. run_python starts a fresh interpreter on this
+checkout's sources, for what only a new process shows: which modules an
+entry point imports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from math import isfinite
 from numbers import Real
 from pathlib import Path
@@ -50,6 +52,11 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
+
+
+def kron_all(*factors: np.ndarray) -> np.ndarray:
+    """numpy's kron of the factors in order, the first the most significant digit of the basis index."""
+    return reduce(np.kron, factors)
 
 
 def initial_state_pattern(alpha: complex, beta: complex) -> np.ndarray:

@@ -17,16 +17,16 @@ from helpers import (
     random_ginibre_density,
 )
 from qteleport.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from qteleport.linalg import identity, kron, partial_trace
+from qteleport.linalg import identity, partial_trace
 from qteleport.protocol import (
     RESOURCE_INDICES,
     THREE_QUBITS,
+    _shot,
     build_initial_state,
     compare_swap_vs_teleport,
     derive_corrections,
     kraus_set,
     measurement_branches,
-    single_shot,
     teleport_channel,
 )
 from qteleport.reference import A_OPS_REFERENCE, B_OPS_REFERENCE
@@ -76,7 +76,7 @@ def test_criterion_3_block_diagonal_output_for_haar_random_states():
         psi = QubitState(alpha, beta)
         out = teleport_channel(build_initial_state(psi, 1), ks)
         sigma = ket_to_density(psi.ket()).matrix
-        worst_block = max(worst_block, float(np.max(np.abs(out.matrix - kron(eye4, sigma)))))
+        worst_block = max(worst_block, float(np.max(np.abs(out.matrix - np.kron(eye4, sigma)))))
         marginal = DensityMatrix(partial_trace(out.matrix, THREE_QUBITS, {2}))
         worst_fidelity = min(worst_fidelity, fidelity_pure(psi.ket(), marginal))
     ok = worst_block <= 1e-10 and worst_fidelity >= 1.0 - 1e-9
@@ -129,7 +129,7 @@ def test_criterion_5_outcome_statistics():
     counts = np.zeros(4)
     shots = 40000
     for seed in range(shots):
-        outcome, _ = single_shot(rho_in, ks, seed)
+        _, outcome, _ = _shot(rho_in, ks, seed)
         counts[outcome - 1] += 1
     worst_freq = float(np.max(np.abs(counts / shots - 0.25)))
     ok = worst_exact <= 1e-10 and worst_freq <= 0.01

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import approx_eq, dagger, random_ginibre_density, random_hermitian
+from helpers import approx_eq, dagger, kron_all, random_ginibre_density, random_hermitian
 from qteleport.linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -15,7 +15,6 @@ from qteleport.linalg import (
     PAULI_Z,
     eig_hermitian,
     identity,
-    kron,
     partial_trace,
 )
 from qteleport.reference import B_OPS_REFERENCE, SWAP_0_2_REFERENCE
@@ -37,71 +36,6 @@ class TestProducts:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             PAULI_X @ identity(3)
-
-
-class TestKron:
-    def test_identity_case(self):
-        assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), identity(4))
-
-    def test_matches_golden_correction_operator(self):
-        assert np.array_equal(kron(kron(IDENTITY_2, IDENTITY_2), PAULI_X), B_OPS_REFERENCE[1])
-
-    def test_basis_bookkeeping(self):
-        v = kron(np.eye(2)[0], np.eye(2)[1])
-        assert np.array_equal(v, np.array([0, 1, 0, 0], dtype=complex))
-
-    def test_associativity_integer_exact(self):
-        a, b, c = PAULI_X, PAULI_Z, identity(3)
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_associativity_random(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        assert approx_eq(kron(kron(a, b), c), kron(a, kron(b, c)), 1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_trace_multiplicative(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_dagger_distributes(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        assert approx_eq(dagger(kron(a, b)), kron(dagger(a), dagger(b)), 1e-12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            kron(np.array([[np.nan, 0], [0, 1]]), IDENTITY_2)
-
-    @pytest.mark.parametrize(
-        "shapes",
-        [
-            [(2, 2), (2, 2)], [(2, 3), (4, 1)], [(1, 5), (3, 2)], [(2, 2), (3, 1), (2, 4)], [(3,), (2,)], [(0, 2), (2, 2)],
-            [(3,), (2, 2)], [(2, 3), (2,)], [(), (2, 2)], [(3,), ()], [(), ()], [(2, 1, 2), (1, 3, 2)], [(2, 3), (2, 1, 2)],
-        ],
-        ids=[
-            "square", "non-square", "row-by-column", "three-factors", "vectors", "empty",
-            "vector-by-matrix", "matrix-by-vector", "scalar-by-matrix", "vector-by-scalar", "scalars", "3-d", "2-d-by-3-d",
-        ],
-    )
-    def test_equals_numpy_kron_bit_for_bit(self, shapes):
-        rng = np.random.default_rng(len(shapes))
-        factors = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
-        expected = factors[0]
-        for f in factors[1:]:
-            expected = np.kron(expected, f)
-        out = kron(*factors)
-        assert out.shape == expected.shape and np.array_equal(out, expected)
-
-
-    def test_rejects_no_factors(self):
-        with pytest.raises(ValueError, match="^kron requires at least one factor$"):
-            kron()
 
 
 class TestDagger:
@@ -127,13 +61,13 @@ class TestFactorization:
         for n in range(12):
             digits = (n // 6, (n // 2) % 3, n % 2)
             factors = [np.eye(d)[digit] for d, digit in zip(dims, digits)]
-            assert np.array_equal(kron(*factors), np.eye(12)[n])
+            assert np.array_equal(kron_all(*factors), np.eye(12)[n])
             assert np.eye(12)[n].reshape(dims)[digits] == 1.0
 
     def test_big_endian_convention(self):
         e = np.eye(2)
-        assert np.array_equal(kron(e[0], e[1], e[1]), np.eye(8)[3])
-        assert np.array_equal(kron(e[1], e[0], e[0]), np.eye(8)[4])
+        assert np.array_equal(kron_all(e[0], e[1], e[1]), np.eye(8)[3])
+        assert np.array_equal(kron_all(e[1], e[0], e[0]), np.eye(8)[4])
 
     def test_rejects_bad_dims(self):
         # only positive Python or numpy integers are dimensions; 2.5 and "2" are not
@@ -159,18 +93,18 @@ class TestPartialTrace:
         rng = np.random.default_rng(seed)
         rho_a = random_ginibre_density(rng, 2)
         rho_b = random_ginibre_density(rng, 4)
-        assert approx_eq(partial_trace(kron(rho_a, rho_b), (2, 4), {1}), rho_b, 1e-12)
-        assert approx_eq(partial_trace(kron(rho_a, rho_b), (2, 4), {0}), rho_a, 1e-12)
+        assert approx_eq(partial_trace(np.kron(rho_a, rho_b), (2, 4), {1}), rho_b, 1e-12)
+        assert approx_eq(partial_trace(np.kron(rho_a, rho_b), (2, 4), {0}), rho_a, 1e-12)
         factors = [random_ginibre_density(rng, 2) for _ in range(3)]
         for i, f in enumerate(factors):
-            assert approx_eq(partial_trace(kron(*factors), (2, 2, 2), {i}), f, 1e-12)
+            assert approx_eq(partial_trace(kron_all(*factors), (2, 2, 2), {i}), f, 1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_keep_first_factor_scales_by_trace(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert approx_eq(partial_trace(kron(a, b), (2, 3), {0}), np.trace(b) * a, 1e-12)
+        assert approx_eq(partial_trace(np.kron(a, b), (2, 3), {0}), np.trace(b) * a, 1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stagewise_reduction_preserves_trace(self, seed):
@@ -188,9 +122,9 @@ class TestPartialTrace:
         a = random_ginibre_density(rng, 2)
         b = random_ginibre_density(rng, 3)
         c = random_ginibre_density(rng, 2)
-        rho = kron(a, kron(b, c))
+        rho = kron_all(a, b, c)
         reduced = partial_trace(rho, (2, 3, 2), {2, 0})
-        assert approx_eq(reduced, kron(a, c), 1e-12)
+        assert approx_eq(reduced, np.kron(a, c), 1e-12)
 
     def test_errors(self):
         rho = identity(8) / 8.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import exact_channel, exact_marginals, exact_probabilities
-from qteleport.linalg import identity, kron, partial_trace
+from qteleport.linalg import identity, partial_trace
 from qteleport.protocol import (
     RESOURCE_INDICES,
     THREE_QUBITS,
@@ -54,7 +54,7 @@ def _largest_ulp(m):
 class TestTheExactModel:
     def test_the_channel_of_a_product_input_is_a_quarter_of_the_identity_beside_sigma(self, resource):
         rho, sigma = _product_input(resource)
-        assert np.array_equal(exact_channel(rho.matrix, kraus_set(resource)), kron(identity(4) / 4, sigma))
+        assert np.array_equal(exact_channel(rho.matrix, kraus_set(resource)), np.kron(identity(4) / 4, sigma))
 
     def test_each_branch_of_a_product_input_has_a_quarter_of_the_trace(self, resource):
         rho, sigma = _product_input(resource)
@@ -62,7 +62,7 @@ class TestTheExactModel:
 
     def test_the_marginals_of_the_closed_form(self, resource):
         _, sigma = _product_input(resource)
-        marginal_12, marginal_3 = exact_marginals(kron(identity(4) / 4, sigma))
+        marginal_12, marginal_3 = exact_marginals(np.kron(identity(4) / 4, sigma))
         assert np.array_equal(marginal_12, identity(4) * _quarter_trace(sigma))
         assert np.array_equal(marginal_3, sigma)
 

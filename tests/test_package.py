@@ -42,7 +42,9 @@ def test_each_name_is_the_object_of_its_home_module(name):
     assert getattr(home, name) is value
 
 
-@pytest.mark.parametrize("name,home", [("dagger", linalg), ("swap_gate", protocol)])
+@pytest.mark.parametrize(
+    "name,home", [("dagger", linalg), ("swap_gate", protocol), ("kron", linalg), ("single_shot", protocol)]
+)
 def test_a_deleted_helper_is_gone_from_the_package_and_its_home_module(name, home):
     assert name not in qteleport.__all__
     assert not hasattr(qteleport, name)
@@ -114,7 +116,6 @@ WRONG_TYPE_CASES = {
     "teleport_channel-state": (lambda: protocol.teleport_channel(np.eye(8) / 8, _KS), _must_be_a("DensityMatrix")),
     "teleport_channel-set": (lambda: protocol.teleport_channel(_RHO_8, 1), _must_be_a("KrausSet")),
     "measurement_branches": (lambda: protocol.measurement_branches(_RHO_8, 1), _must_be_a("KrausSet")),
-    "single_shot": (lambda: protocol.single_shot(np.eye(8) / 8, _KS, 0), _must_be_a("DensityMatrix")),
     "fidelity_pure": (lambda: states.fidelity_pure([1, 0], states.DensityMatrix(np.eye(2) / 2)), _must_be_a("Ket")),
     "purity": (lambda: states.purity(np.eye(2) / 2), _must_be_a("DensityMatrix")),
     "von_neumann_entropy": (lambda: states.von_neumann_entropy(np.eye(2) / 2), _must_be_a("DensityMatrix")),
@@ -141,6 +142,10 @@ WRONG_TYPE_CASES = {
         lambda: protocol.ProtocolReport(None, 1, "ensemble", 0, None, (0.25,) * 4, None, None, None, 1.0, 0.0),
         _must_be_a("QubitState"),
     ),
+    "ProtocolReport-probabilities": (
+        lambda: dataclasses.replace(protocol.run_protocol(states.QubitState(1, 0)), outcome_probabilities=None),
+        _must_be_a("sequence of 4 real numbers"),
+    ),
     "SwapComparison": (lambda: protocol.SwapComparison(None, None, None), _must_be_a("QubitState")),
     "BranchSummary": (lambda: protocol.BranchSummary(True, None, None, 1.0, 0.0, 1.0, 0.0, 1.0), _must_be_a("DensityMatrix")),
     "DensityMatrix": (lambda: states.DensityMatrix(None), _must_be_a("regular array")),
@@ -151,7 +156,6 @@ WRONG_TYPE_CASES = {
     "qubit_state": (lambda: states.qubit_state(None, None), _must_be_a("regular array")),
     "validate_density": (lambda: states.validate_density("x"), _must_be_a("regular array")),
     "eig_hermitian": (lambda: linalg.eig_hermitian(None), _must_be_a("regular array")),
-    "kron": (lambda: linalg.kron(None), _must_be_a("regular array")),
     "partial_trace": (lambda: linalg.partial_trace(np.eye(2), "x", {0}), _must_be_a("non-empty tuple")),
     "kraus_set": (lambda: protocol.kraus_set("x"), r" must be one of \(1, 2, 3, 4\)"),
     "correction_set": (lambda: protocol.correction_set(None), r" must be one of \(1, 2, 3, 4\)"),

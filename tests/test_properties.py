@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from qteleport.cli import _fmt_pair, parse_complex
-from qteleport.linalg import identity, kron
+from qteleport.linalg import identity
 from qteleport.protocol import ENSEMBLE, MODES, RESOURCE_INDICES, run_protocol
 from qteleport.serialize import (
     complex_pair,
@@ -49,7 +49,7 @@ def haar_input(seed: int) -> QubitState:
 def test_ensemble_output_is_maximally_mixed_times_the_input(seed, resource):
     psi = haar_input(seed)
     output = run_protocol(psi, resource, ENSEMBLE).output_density.matrix
-    expected = kron(identity(4) / 4.0, ket_to_density(psi.ket()).matrix)
+    expected = np.kron(identity(4) / 4.0, ket_to_density(psi.ket()).matrix)
     assert np.abs(output - expected).max() <= 1e-10
 
 

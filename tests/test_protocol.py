@@ -14,11 +14,12 @@ from helpers import (
     dagger,
     haar_qubit_amplitudes,
     initial_state_pattern,
+    kron_all,
     random_ginibre_density,
     run_python,
 )
 from qteleport import ENSEMBLE, RESOURCE_INDICES, SINGLE_SHOT, protocol, states
-from qteleport.linalg import identity, kron, partial_trace
+from qteleport.linalg import identity, partial_trace
 from qteleport.protocol import (
     SWAP_0_2,
     THREE_QUBITS,
@@ -27,6 +28,7 @@ from qteleport.protocol import (
     _CANDIDATE_PAULIS,
     KrausSet,
     _corrected_branches,
+    _shot,
     _marginals,
     bell_basis,
     build_initial_state,
@@ -36,7 +38,6 @@ from qteleport.protocol import (
     kraus_set,
     measurement_branches,
     run_protocol,
-    single_shot,
     teleport_channel,
 )
 from qteleport.reference import A_OPS_REFERENCE, B_OPS_REFERENCE, SWAP_0_2_REFERENCE
@@ -82,17 +83,17 @@ class TestIndexMap:
 
     def test_worked_example(self):
         # |3> = |011>
-        assert np.array_equal(np.eye(8)[3], kron(self.E[0], self.E[1], self.E[1]))
+        assert np.array_equal(np.eye(8)[3], kron_all(self.E[0], self.E[1], self.E[1]))
 
     def test_extremes(self):
-        assert np.array_equal(np.eye(8)[0], kron(self.E[0], self.E[0], self.E[0]))
-        assert np.array_equal(np.eye(8)[7], kron(self.E[1], self.E[1], self.E[1]))
+        assert np.array_equal(np.eye(8)[0], kron_all(self.E[0], self.E[0], self.E[0]))
+        assert np.array_equal(np.eye(8)[7], kron_all(self.E[1], self.E[1], self.E[1]))
 
     def test_round_trip(self):
         assert THREE_QUBITS == (2, 2, 2)
         for n in range(8):
             a, b, c = n // 4, (n // 2) % 2, n % 2
-            assert np.array_equal(np.eye(8)[n], kron(self.E[a], self.E[b], self.E[c]))
+            assert np.array_equal(np.eye(8)[n], kron_all(self.E[a], self.E[b], self.E[c]))
             assert np.eye(8)[n].reshape(THREE_QUBITS)[a, b, c] == 1.0
 
 
@@ -271,7 +272,7 @@ class TestTeleportChannel:
         psi = QubitState(0.6, 0.8j)
         out = teleport_channel(build_initial_state(psi, resource), kraus_set(resource))
         sigma = ket_to_density(psi.ket()).matrix
-        assert np.max(np.abs(out.matrix - kron(identity(4) / 4.0, sigma))) <= 1e-10
+        assert np.max(np.abs(out.matrix - np.kron(identity(4) / 4.0, sigma))) <= 1e-10
 
     def test_marginals(self):
         psi = QubitState(SQ, 1j * SQ)
@@ -348,7 +349,7 @@ class TestSingleShot:
         target = ket_to_density(psi.ket()).matrix
         for i, (_, state) in enumerate(measurement_branches(rho_in, kraus_set(resource)), start=1):
             bell_u = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]])[i - 1]
-            expected = kron(np.outer(bell_u, bell_u) / 2.0, target)
+            expected = np.kron(np.outer(bell_u, bell_u) / 2.0, target)
             assert approx_eq(state.matrix, expected, 1e-10)
             assert approx_eq(partial_trace(state.matrix, THREE_QUBITS, {2}), target, 1e-10)
 
@@ -358,62 +359,38 @@ class TestSingleShot:
         mixture = sum(p * s.matrix for p, s in measurement_branches(rho_in, ks))
         assert approx_eq(mixture, teleport_channel(rho_in, ks).matrix, 1e-10)
 
-    @pytest.mark.parametrize(
-        "seed",
-        [1.5, True, np.True_, -1, "3", None],
-        ids=["float", "bool", "numpy-bool", "negative", "str", "none"],
-    )
-    def test_rejects_bad_seed(self, seed):
-        rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
-        with pytest.raises(ValueError, match="rng_seed"):
-            single_shot(rho_in, kraus_set(1), seed)
-
-    def test_accepts_a_generator_or_numpy_integer_seed(self):
-        # README documents the Generator route: it draws exactly as the seed it was made from
-        for resource in RESOURCE_INDICES:
-            rho_in = build_initial_state(QubitState(0.6, 0.8j), resource)
-            ks = kraus_set(resource)
-            for seed in range(200):
-                outcome, state = single_shot(rho_in, ks, seed)
-                for same_seed in (np.int64(seed), np.random.default_rng(seed)):
-                    same_outcome, same_state = single_shot(rho_in, ks, same_seed)
-                    assert same_outcome == outcome
-                    assert same_state.matrix.tobytes() == state.matrix.tobytes()
-
     def test_deterministic_for_fixed_seed(self):
         rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
         ks = kraus_set(1)
-        first = single_shot(rho_in, ks, 7)
-        second = single_shot(rho_in, ks, 7)
-        assert first[0] == second[0]
-        assert np.array_equal(first[1].matrix, second[1].matrix)
+        first = _shot(rho_in, ks, 7)
+        second = _shot(rho_in, ks, 7)
+        assert first[:2] == second[:2]
+        assert np.array_equal(first[2].matrix, second[2].matrix)
 
     def test_zero_probability_branches_never_sampled(self):
         # factors 1,2 already hold the first Bell vector: outcome is always 1
         bell_u = np.array([1, 0, 0, 1], dtype=complex)
-        rho = DensityMatrix(kron(np.outer(bell_u, bell_u) / 2.0, np.diag([1.0, 0.0])))
+        rho = DensityMatrix(np.kron(np.outer(bell_u, bell_u) / 2.0, np.diag([1.0, 0.0])))
         ks = kraus_set(1)
         branches = measurement_branches(rho, ks)
         assert branches[0][0] == pytest.approx(1.0)
         assert all(state is None for _, state in branches[1:])
         for seed in range(25):
-            outcome, _ = single_shot(rho, ks, seed)
-            assert outcome == 1
+            assert _shot(rho, ks, seed)[1] == 1
 
     def test_outcome_frequencies_roughly_uniform(self):
         rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
         ks = kraus_set(1)
         counts = np.zeros(4)
         for seed in range(2000):
-            outcome, _ = single_shot(rho_in, ks, seed)
-            counts[outcome - 1] += 1
+            counts[_shot(rho_in, ks, seed)[1] - 1] += 1
         assert np.max(np.abs(counts / 2000 - 0.25)) < 0.05
 
     def test_refuses_a_set_whose_branches_all_vanish(self):
         ks = KrausSet(1, np.zeros((4, 8, 8)), kraus_set(1).b_ops)
         rho_in = build_initial_state(QubitState(0.6, 0.8j), 1)
         with pytest.raises(ValueError, match="^all measurement branches have vanishing probability$"):
-            single_shot(rho_in, ks, 0)
+            _shot(rho_in, ks, 0)
 
 
 class TestCorrections:
@@ -471,7 +448,7 @@ class TestCorrections:
         def production(resource):
             if resource != 3:
                 return kraus_set(resource)
-            return KrausSet(3, kraus_set(3).a_ops, [kron(identity(4), u) for u in wrong_for_resource_3(3)])
+            return KrausSet(3, kraus_set(3).a_ops, [np.kron(identity(4), u) for u in wrong_for_resource_3(3)])
 
         # production reads the same wrong table, so comparing the two alone would pass
         monkeypatch.setattr("qteleport.verify.kraus_set", production)
@@ -574,7 +551,7 @@ class TestSwapGate:
         rho_in = build_initial_state(psi, resource)
         moved = SWAP_0_2 @ rho_in.matrix @ dagger(SWAP_0_2)
         bell_u = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]])[resource - 1]
-        expected = kron(np.outer(bell_u, bell_u) / 2.0, ket_to_density(psi.ket()).matrix)
+        expected = np.kron(np.outer(bell_u, bell_u) / 2.0, ket_to_density(psi.ket()).matrix)
         assert approx_eq(moved, expected, 1e-10)
 
 
@@ -658,14 +635,14 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("resource", RESOURCE_INDICES)
     def test_single_shot_report_uses_the_branch_arithmetic(self, resource):
-        # run_protocol, single_shot and measurement_branches must agree bit for bit
+        # run_protocol, its sampler _shot and measurement_branches must agree bit for bit
         psi = QubitState(0.6, 0.8j)
         rho_in = build_initial_state(psi, resource)
         ks = kraus_set(resource)
         branches = measurement_branches(rho_in, ks)
         for seed in range(8):
             report = run_protocol(psi, resource, SINGLE_SHOT, seed)
-            outcome, state = single_shot(rho_in, ks, seed)
+            _, outcome, state = _shot(rho_in, ks, seed)
             assert report.outcome == outcome
             assert np.array_equal(report.output_density.matrix, state.matrix)
             assert np.array_equal(state.matrix, branches[outcome - 1][1].matrix)
@@ -695,8 +672,8 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize(
         "seed",
-        [np.random.default_rng(0), 1.5, "3", None, True, -1],
-        ids=["generator", "float", "str", "none", "bool", "negative"],
+        [np.random.default_rng(0), 1.5, "3", None, True, np.True_, -1],
+        ids=["generator", "float", "str", "none", "bool", "numpy-bool", "negative"],
     )
     def test_rejects_bad_seed_before_any_work(self, seed, monkeypatch):
         def fail(*args, **kwargs):

@@ -112,6 +112,13 @@ class TestMatrixSchema:
         with pytest.raises(ValueError, match="^z must be a finite number within float range and not a bool, got "):
             complex_pair(z)
 
+    @pytest.mark.parametrize(
+        "z", [np.float32(0.5), np.float16(1), np.complex64(0.6 + 0.8j)], ids=["float32", "float16", "complex64"]
+    )
+    def test_complex_pair_writes_a_narrow_numpy_float_as_its_double(self, z):
+        # the range check must not cast the largest double to float32 or float16: that overflow warns
+        assert complex_pair(z) == complex_pair(complex(z))
+
     def test_significant_digit_rounding(self):
         assert _number(1 / 3) == 0.333333333333
         assert _number(0.25) == 0.25

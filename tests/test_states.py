@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import haar_qubit_amplitudes, random_hermitian
-from qteleport.linalg import PAULI_X, eig_hermitian, identity, kron, partial_trace
+from qteleport.linalg import PAULI_X, eig_hermitian, identity, partial_trace
 from qteleport.serialize import density_from_json, density_to_json
 from qteleport.states import (
     TOL_PSD,
@@ -374,7 +374,6 @@ NON_FINITE_ENTRY_CASES = [
     (lambda x: QubitState(x, 1), "qubit amplitudes"),
     (lambda x: DensityMatrix(np.array([[x, 0], [0, 1]])), "density matrix"),
     (lambda x: Ket(np.array([x, 1])), "ket amplitudes"),
-    (lambda x: kron(identity(2), np.array([[x, 0], [0, 1]])), "kron factor"),
     (lambda x: partial_trace(np.diag([x, 0, 0, 1]), (2, 2), {0}), "matrix"),
     (lambda x: eig_hermitian(np.array([[x, 0], [0, 1]])), "matrix"),
 ]
@@ -383,7 +382,7 @@ NON_FINITE_ENTRY_CASES = [
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "build, name", NON_FINITE_ENTRY_CASES,
-    ids=["qubit-state", "density-matrix", "ket", "kron", "partial-trace", "eig-hermitian"],
+    ids=["qubit-state", "density-matrix", "ket", "partial-trace", "eig-hermitian"],
 )
 def test_non_finite_entries_raise_the_same_message(build, name, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} contains non-finite entries$"):
@@ -392,7 +391,7 @@ def test_non_finite_entries_raise_the_same_message(build, name, value):
 
 @pytest.mark.parametrize(
     "build, name", NON_FINITE_ENTRY_CASES,
-    ids=["qubit-state", "density-matrix", "ket", "kron", "partial-trace", "eig-hermitian"],
+    ids=["qubit-state", "density-matrix", "ket", "partial-trace", "eig-hermitian"],
 )
 def test_none_entries_are_named_as_non_numbers(build, name):
     # numpy reads None as NaN, which must not be reported as a non-finite number

@@ -108,11 +108,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "DensityMatrix(corrected[chosen] / probabilities[chosen])",
         "DensityMatrix(corrected[0] / probabilities[0])",
     ),
-    "single-shot-seed-unchecked": (
-        PROTOCOL,
-        '        _check_int(rng_seed, "rng_seed")\n    _, outcome, state',
-        "        pass\n    _, outcome, state",
-    ),
+    "run-protocol-seed-unchecked": (PROTOCOL, 'rng_seed = _check_int(rng_seed, "rng_seed")', "rng_seed = rng_seed"),
     "probability-sum-accepts-nan": (PROTOCOL, "if not total_dev <= 1e-10:", "if total_dev > 1e-10:"),
     "marginal-transposed": (PROTOCOL, 'np.einsum("ajak->jk", tensor)', 'np.einsum("ajak->kj", tensor)'),
     "swap-gate-without-swap": (PROTOCOL, ".swapaxes(0, 2)", ".swapaxes(0, 0)"),
