@@ -131,6 +131,60 @@ class TestBuildInitialState:
             build_initial_state(QubitState(1, 0), 5)
 
 
+class TestTensorFactors:
+    """The library's tensor products put each factor on its own virtual qubit, in big-endian order."""
+
+    # Bell amplitude patterns scaled by sqrt(2), typed by hand; row i-1 is vector i
+    BELL_U = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]], dtype=complex)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    def test_each_correction_acts_on_the_last_factor_only(self, resource):
+        eye = np.eye(2, dtype=complex)
+        for b, c in zip(kraus_set(resource).b_ops, correction_set(resource)):
+            assert np.array_equal(b, kron_all(eye, eye, c))
+
+    @pytest.mark.parametrize("outcome", RESOURCE_INDICES)
+    def test_each_measurement_op_is_the_identity_on_the_last_factor(self, outcome):
+        u = self.BELL_U[outcome - 1]
+        doubled = np.outer(u, u)
+        a = kraus_set(1).a_ops[outcome - 1]
+        blocks = a.reshape(4, 2, 4, 2)
+        for x in range(2):
+            for y in range(2):
+                assert np.array_equal(blocks[:, x, :, y], doubled if x == y else np.zeros((4, 4)))
+        assert np.array_equal(partial_trace(a, THREE_QUBITS, {0, 1}), 2 * doubled)
+
+    @pytest.mark.parametrize("resource", RESOURCE_INDICES)
+    @pytest.mark.parametrize("a", [0, 1], ids=["zero", "one"])
+    def test_a_basis_input_fills_only_its_half_of_the_index(self, a, resource):
+        # |a> on factor 0 is the most significant digit: rows and columns 4a .. 4a+3
+        u = self.BELL_U[resource - 1]
+        expected = np.zeros((8, 8), dtype=complex)
+        expected[4 * a:4 * a + 4, 4 * a:4 * a + 4] = np.outer(u, u) / 2.0
+        assert np.array_equal(build_initial_state(QubitState(1 - a, a), resource).matrix, expected)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_initial_state_has_its_factors_as_marginals(self, seed):
+        psi = QubitState(*haar_qubit_amplitudes(np.random.default_rng(seed)))
+        sigma = ket_to_density(psi.ket()).matrix
+        for resource, u in zip(RESOURCE_INDICES, self.BELL_U):
+            rho = build_initial_state(psi, resource).matrix
+            assert approx_eq(partial_trace(rho, THREE_QUBITS, {0}), sigma, 1e-15)
+            assert approx_eq(partial_trace(rho, THREE_QUBITS, {1, 2}), np.outer(u, u) / 2.0, 1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_block_of_the_initial_state_is_the_bell_density_scaled(self, seed):
+        # block (a, a') over factors 1, 2 is psi_a conj(psi_a') times the resource's Bell density
+        alpha, beta = haar_qubit_amplitudes(np.random.default_rng(seed))
+        v = (alpha, beta)
+        for resource, u in zip(RESOURCE_INDICES, self.BELL_U):
+            blocks = build_initial_state(QubitState(alpha, beta), resource).matrix.reshape(2, 4, 2, 4)
+            for a in range(2):
+                for a2 in range(2):
+                    expected = v[a] * v[a2].conjugate() * np.outer(u, u) / 2.0
+                    assert approx_eq(blocks[a, :, a2, :], expected, 1e-15)
+
+
 class TestKrausSet:
     def test_measurement_ops_match_golden_exactly(self):
         ks = kraus_set(1)

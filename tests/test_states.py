@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import haar_qubit_amplitudes, random_hermitian
 from qteleport.linalg import PAULI_X, eig_hermitian, identity, partial_trace
-from qteleport.serialize import density_from_json, density_to_json
+from qteleport.protocol import KrausSet, kraus_set
+from qteleport.serialize import density_from_json, density_to_json, matrix_to_json
 from qteleport.states import (
     TOL_PSD,
     DensityMatrix,
@@ -370,19 +371,35 @@ def test_validation_and_entropy_report_one_positivity_violation():
     assert [e.violation for e in errors] == [0.5, 0.5]
 
 
+def _with_first_entry(stack, x):
+    """An object copy of stack whose first entry is x."""
+    out = stack.astype(object)
+    out[0, 0, 0] = x
+    return out
+
+
 NON_FINITE_ENTRY_CASES = [
     (lambda x: QubitState(x, 1), "qubit amplitudes"),
     (lambda x: DensityMatrix(np.array([[x, 0], [0, 1]])), "density matrix"),
     (lambda x: Ket(np.array([x, 1])), "ket amplitudes"),
     (lambda x: partial_trace(np.diag([x, 0, 0, 1]), (2, 2), {0}), "matrix"),
     (lambda x: eig_hermitian(np.array([[x, 0], [0, 1]])), "matrix"),
+    (lambda x: qubit_state(x, 1, renormalize=True), "qubit amplitudes"),
+    (lambda x: ket(np.array([x, 1]), renormalize=True), "ket amplitudes"),
+    (lambda x: validate_density(np.array([[x, 0], [0, 1]])), "density matrix"),
+    (lambda x: matrix_to_json(np.array([[x, 0], [0, 1]])), "matrix"),
+    (lambda x: KrausSet(1, _with_first_entry(kraus_set(1).a_ops, x), kraus_set(1).b_ops), "a_ops"),
+    (lambda x: KrausSet(1, kraus_set(1).a_ops, _with_first_entry(kraus_set(1).b_ops, x)), "b_ops"),
+]
+NON_FINITE_ENTRY_IDS = [
+    "qubit-state", "density-matrix", "ket", "partial-trace", "eig-hermitian", "qubit-state-renormalized",
+    "ket-renormalized", "validate-density", "matrix-to-json", "kraus-set-a-ops", "kraus-set-b-ops",
 ]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
-    "build, name", NON_FINITE_ENTRY_CASES,
-    ids=["qubit-state", "density-matrix", "ket", "partial-trace", "eig-hermitian"],
+    "build, name", NON_FINITE_ENTRY_CASES, ids=NON_FINITE_ENTRY_IDS,
 )
 def test_non_finite_entries_raise_the_same_message(build, name, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} contains non-finite entries$"):
@@ -390,8 +407,7 @@ def test_non_finite_entries_raise_the_same_message(build, name, value):
 
 
 @pytest.mark.parametrize(
-    "build, name", NON_FINITE_ENTRY_CASES,
-    ids=["qubit-state", "density-matrix", "ket", "partial-trace", "eig-hermitian"],
+    "build, name", NON_FINITE_ENTRY_CASES, ids=NON_FINITE_ENTRY_IDS,
 )
 def test_none_entries_are_named_as_non_numbers(build, name):
     # numpy reads None as NaN, which must not be reported as a non-finite number
