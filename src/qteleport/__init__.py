@@ -57,7 +57,6 @@ __all__ = [
     "derive_corrections",
     "eig_hermitian",
     "fidelity_pure",
-    "identity",
     "ket",
     "ket_to_density",
     "kraus_set",

@@ -82,24 +82,14 @@ def _resolve_tol(args: argparse.Namespace) -> float:
 
 
 def input_amplitudes(args: argparse.Namespace) -> tuple[complex, complex]:
-    """(alpha, beta) from the state flags, with every state check run on them.
+    """(alpha, beta) from the --alpha and --beta literals, with every state check run on them.
 
-    A component flag overrides its literal; an amplitude given by no flag is 0.
+    An amplitude with no flag is 0; parse_complex refuses a non-finite part.
     """
-    resolved = []
-    for name in ("alpha", "beta"):
-        re, im = getattr(args, f"{name}_re"), getattr(args, f"{name}_im")
-        if re is not None or im is not None:
-            resolved.append(complex(re or 0.0, im or 0.0))
-        else:
-            literal = getattr(args, name)
-            resolved.append(None if literal is None else parse_complex(literal))
-    if resolved == [None, None]:
-        raise UsageError("an input state is required: use --alpha/--beta or the -re/-im flags")
-    alpha, beta = (0.0 if z is None else z for z in resolved)
+    if args.alpha is None and args.beta is None:
+        raise UsageError("an input state is required: use --alpha and/or --beta")
+    alpha, beta = (0j if text is None else parse_complex(text) for text in (args.alpha, args.beta))
     parts = (alpha.real, alpha.imag, beta.real, beta.imag)
-    if not all(map(math.isfinite, parts)):
-        raise UsageError("input amplitudes must be finite")
     # inf when finite parts overflow it, which only --renormalize accepts
     norm = math.hypot(*parts)
     if norm == 0.0:
@@ -234,10 +224,6 @@ def cmd_dump_tables(args: argparse.Namespace) -> CommandResult:
 def _add_state_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", help="amplitude of |0> as a complex literal, e.g. 0.6 or 0.6+0.2i")
     parser.add_argument("--beta", help="amplitude of |1> as a complex literal, e.g. 0.8i")
-    parser.add_argument("--alpha-re", type=float, help="real part of alpha (overrides --alpha)")
-    parser.add_argument("--alpha-im", type=float, help="imaginary part of alpha (overrides --alpha)")
-    parser.add_argument("--beta-re", type=float, help="real part of beta (overrides --beta)")
-    parser.add_argument("--beta-im", type=float, help="imaginary part of beta (overrides --beta)")
     parser.add_argument(
         "--renormalize",
         action="store_true",

@@ -26,11 +26,6 @@ PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-def identity(dim: int) -> np.ndarray:
-    """The dim x dim complex identity; ValueError unless dim is a non-negative integer."""
-    return np.eye(_check_int(dim, "dim"), dtype=complex)
-
-
 def as_complex_array(a: object, name: str = "matrix") -> np.ndarray:
     """Coerce to a complex ndarray, rejecting ragged or non-numeric input and NaN/Inf entries."""
     try:

@@ -25,8 +25,8 @@ from .linalg import (
     _check_type,
     _frozen,
     _is_int,
+    _is_real,
     as_complex_array,
-    identity,
 )
 from .states import (
     DensityMatrix,
@@ -109,9 +109,12 @@ class ProtocolReport:
         for name in ("output_density", "marginal_12", "marginal_3"):
             _check_type(getattr(self, name), DensityMatrix, name)
         try:
-            probs = tuple(float(p) for p in self.outcome_probabilities)
+            probs = tuple(self.outcome_probabilities)
+            if not all(map(_is_real, probs)):  # a complex, a bool or a str is no probability
+                raise TypeError
         except TypeError:  # None, or an entry that is no real number
             raise ValueError("outcome_probabilities must be a sequence of 4 real numbers") from None
+        probs = tuple(map(float, probs))
         if len(probs) != 4:
             raise ValueError(f"expected 4 outcome probabilities, got {len(probs)}")
         total_dev = abs(sum(probs) - 1.0)
@@ -238,7 +241,7 @@ def correction_set(resource_index: int) -> tuple[np.ndarray, ...]:
 
 # The production channel, built once at import; entry j-1 is resource j.
 _KRAUS_SETS = tuple(
-    KrausSet(j, _A_OPS, [np.kron(identity(4), u) for u in correction_set(j)]) for j in RESOURCE_INDICES
+    KrausSet(j, _A_OPS, [np.kron(np.eye(4, dtype=complex), u) for u in correction_set(j)]) for j in RESOURCE_INDICES
 )
 
 
@@ -355,7 +358,7 @@ def run_protocol(
 
 # The exchange of factors 0 and 2 that compare_swap_vs_teleport and dump-tables use.
 # Swapping row axes 0 and 2 of the identity sends |a b c> to |c b a>.
-SWAP_0_2 = _frozen(identity(8).reshape(THREE_QUBITS * 2).swapaxes(0, 2).reshape(8, 8))
+SWAP_0_2 = _frozen(np.eye(8, dtype=complex).reshape(THREE_QUBITS * 2).swapaxes(0, 2).reshape(8, 8))
 
 
 def _summarize_branch(requires_bell_resource: bool, output: DensityMatrix, psi: QubitState) -> BranchSummary:

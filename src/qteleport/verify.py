@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import DEFAULT_SWEEP_COUNT, DEFAULT_TOL, RESOURCE_INDICES
-from .linalg import _check_int, _check_type, _is_real, identity, partial_trace
+from .linalg import _check_int, _check_type, _is_real, partial_trace
 from .protocol import (
     SWAP_0_2,
     THREE_QUBITS,
@@ -75,7 +75,7 @@ def _check_operator_tables(sets: dict[int, KrausSet]) -> tuple[bool, str]:
 
 
 def _check_bell_orthonormality() -> tuple[bool, str]:
-    if not np.array_equal(_BELL_PATTERNS.conj() @ _BELL_PATTERNS.T, 2 * identity(4)):
+    if not np.array_equal(_BELL_PATTERNS.conj() @ _BELL_PATTERNS.T, 2 * np.eye(4, dtype=complex)):
         return False, "Gram matrix of the Bell patterns differs from 2I"
     for i, (k, pattern) in enumerate(zip(bell_basis(), _BELL_PATTERNS), start=1):
         if not np.array_equal(k.amplitudes, pattern * 2**-0.5):
@@ -86,7 +86,8 @@ def _check_bell_orthonormality() -> tuple[bool, str]:
 def _check_bell_reductions() -> tuple[bool, str]:
     for i, pattern in enumerate(_BELL_PATTERNS, start=1):
         for factor in (0, 1):
-            if not np.array_equal(partial_trace(np.outer(pattern, pattern.conj()), (2, 2), {factor}), identity(2)):
+            reduced = partial_trace(np.outer(pattern, pattern.conj()), (2, 2), {factor})
+            if not np.array_equal(reduced, np.eye(2, dtype=complex)):
                 return False, f"doubled Bell projector {i}: the reduction onto factor {factor} differs from I"
     return True, "every single-factor reduction of a doubled Bell projector is exactly I"
 
@@ -105,15 +106,16 @@ def _check_projector_rank(sets: dict[int, KrausSet]) -> tuple[bool, str]:
 def _check_kraus_completeness(sets: dict[int, KrausSet]) -> tuple[bool, str]:
     for j, ks in sets.items():
         total = sum(ks.kraus.conj().transpose(0, 2, 1) @ ks.kraus)
-        if not np.array_equal(total, identity(8)):
-            return False, f"resource {j}: sum K^dag K deviates from identity by {np.abs(total - identity(8)).max():.3e}"
+        if not np.array_equal(total, np.eye(8, dtype=complex)):
+            deviation = np.abs(total - np.eye(8, dtype=complex)).max()
+            return False, f"resource {j}: sum K^dag K deviates from identity by {deviation:.3e}"
     return True, "sum K^dag K is exactly the identity for all resources"
 
 
 def _check_swap_matrix() -> tuple[bool, str]:
     if not np.array_equal(SWAP_0_2, SWAP_0_2_REFERENCE):
         return False, "swap matrix differs from the golden transcription"
-    if not np.array_equal(SWAP_0_2 @ SWAP_0_2, identity(8)):
+    if not np.array_equal(SWAP_0_2 @ SWAP_0_2, np.eye(8, dtype=complex)):
         return False, "swap matrix is not an involution"
     return True, "swap matrix matches the golden transcription and squares to identity"
 
@@ -167,7 +169,7 @@ def _check_fidelity_sweep(
         psi = random_qubit_state(rng)
         out = teleport_channel(build_initial_state(psi, j), sets[j])
         sigma = ket_to_density(psi.ket()).matrix
-        expected = np.kron(identity(4) / 4.0, sigma)
+        expected = np.kron(np.eye(4, dtype=complex) / 4.0, sigma)
         worst_block = max(worst_block, float(np.max(np.abs(out.matrix - expected))))
         marginal_3 = DensityMatrix(partial_trace(out.matrix, THREE_QUBITS, {2}))
         worst_fid = min(worst_fid, fidelity_pure(psi.ket(), marginal_3))

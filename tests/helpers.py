@@ -4,10 +4,10 @@ Everything here is computed by a route the production code does not use:
 closed-form patterns transcribed by hand, numpy's eigensolver, explicit
 Pauli algebra, or exact arithmetic over Gaussian rationals. approx_eq is
 the tests' entrywise comparison within a tolerance, dagger their
-conjugate transpose and kron_all their product of three or more tensor
-factors, all in plain numpy. run_python starts a fresh interpreter on this
-checkout's sources, for what only a new process shows: which modules an
-entry point imports.
+conjugate transpose, identity their complex identity matrix and kron_all
+their product of three or more tensor factors, all in plain numpy.
+run_python starts a fresh interpreter on this checkout's sources, for what
+only a new process shows: which modules an entry point imports.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ def approx_eq(a: np.ndarray, b: np.ndarray, tol: float = TOL_APPROX) -> bool:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T
+
+
+def identity(dim: int) -> np.ndarray:
+    """The dim x dim complex identity, the np.eye(dim, dtype=complex) the library builds its own from."""
+    return np.eye(dim, dtype=complex)
 
 
 def kron_all(*factors: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ from helpers import (
     approx_eq,
     dagger,
     haar_qubit_amplitudes,
+    identity,
     initial_state_pattern,
     random_ginibre_density,
 )
 from qteleport.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from qteleport.linalg import identity, partial_trace
+from qteleport.linalg import partial_trace
 from qteleport.protocol import (
     RESOURCE_INDICES,
     THREE_QUBITS,

@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import run_python
 from qteleport import protocol
@@ -42,6 +45,18 @@ class TestComplexLiterals:
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_complex(text)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0, -0.0)
+    @example(-0.0, 0.0)
+    @example(1e-320, -1e-320)
+    @example(1e308, -1e308)
+    @example(-1e308, 1e308)
+    def test_a_literal_spells_every_finite_pair_bit_for_bit(self, re, im):
+        # one literal reaches each finite (re, im), so the CLI needs no flag per part
+        value = parse_complex(f"{re:.17g}{im:+.17g}i")
+        assert value == complex(re, im)
+        assert struct.pack("<dd", value.real, value.imag) == struct.pack("<dd", re, im)
 
 
 class TestParser:
@@ -92,12 +107,6 @@ class TestTeleportCommand:
         assert main(["teleport", "--alpha", "1", "--beta", "0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "fidelity" in out
-
-    def test_component_flags_take_precedence(self, capsys):
-        code = main(["teleport", "--alpha", "9", "--alpha-re", "1", "--output", "json"])
-        assert code == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["input_state"]["alpha"] == [1, 0]
 
     def test_reported_marginal_matches_input_projector(self, capsys):
         assert main(["teleport", "--alpha", "0.6", "--beta", "0.8i", "--output", "json"]) == EXIT_OK
@@ -162,12 +171,16 @@ class TestTeleportCommand:
             "pass --renormalize to rescale it\n"
         )
 
-    def test_non_finite_amplitudes_rejected(self, capsys):
-        assert main(["teleport", "--alpha", "nan", "--beta", "0"]) == EXIT_USAGE
-        capsys.readouterr()
-        assert main(["teleport", "--alpha-re", "nan"]) == EXIT_USAGE
-        capsys.readouterr()
-        assert main(["teleport", "--alpha-re", "inf", "--beta", "0"]) == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "flags, literal",
+        [(["--alpha", "nan", "--beta", "0"], "nan"), (["--alpha", "inf"], "inf"), (["--beta=-inf+0i"], "-inf+0i")],
+        ids=["alpha-nan", "alpha-inf", "beta-minus-inf"],
+    )
+    def test_non_finite_amplitudes_rejected(self, flags, literal, capsys):
+        assert main(["teleport", *flags]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and repr(literal) in err
 
     def test_resource_choices(self, capsys):
         for j in (1, 2, 3, 4):
@@ -203,10 +216,9 @@ class TestTeleportCommand:
 
 
 STATE_ERRORS = {
-    "missing": ([], "an input state is required: use --alpha/--beta or the -re/-im flags"),
+    "missing": ([], "an input state is required: use --alpha and/or --beta"),
     "bad-literal": (["--alpha", "abc"], "cannot parse complex literal 'abc'"),
     "non-finite-literal": (["--alpha", "nan"], "amplitude 'nan' is not finite"),
-    "non-finite-component": (["--alpha-re", "inf"], "input amplitudes must be finite"),
     "zero": (["--alpha", "0", "--beta", "0"], "input amplitudes are both zero"),
     "unnormalized": (
         ["--alpha", "2", "--beta", "0"],
@@ -228,6 +240,32 @@ class TestInputStateBoundary:
         argv = [command, *flags, *(["--tol", "-1"] if tol == "flag" else [])]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+REMOVED_COMPONENT_FLAGS = ("--alpha-re", "--alpha-im", "--beta-re", "--beta-im")
+
+
+class TestOneSpellingPerAmplitude:
+    """--alpha and --beta literals are the only way to give the input state."""
+
+    @pytest.mark.parametrize("command", ["teleport", "swap-compare"])
+    @pytest.mark.parametrize("flag", REMOVED_COMPONENT_FLAGS)
+    def test_a_component_flag_is_an_unrecognized_argument(self, flag, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--alpha", "1", flag, "0.6"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"qteleport: error: unrecognized arguments: {flag} 0.6"
+
+    @pytest.mark.parametrize("command", ["teleport", "swap-compare"])
+    def test_help_lists_no_component_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert excinfo.value.code == EXIT_OK
+        assert "--alpha ALPHA" in out and "--beta BETA" in out
+        assert [flag for flag in REMOVED_COMPONENT_FLAGS if flag in out] == []
 
 
 class TestSwapCompareCommand:

@@ -25,10 +25,6 @@ COMPLEX = NUMBERS + ("0.8i", "-0.8j", "0.6+0.8i", "0.6-0.8i", "1+1i", "nan+1i", 
 FLAG_VALUES = {
     "--alpha": COMPLEX,
     "--beta": COMPLEX,
-    "--alpha-re": NUMBERS,
-    "--alpha-im": NUMBERS,
-    "--beta-re": NUMBERS,
-    "--beta-im": NUMBERS,
     "--resource-index": ("0", "1", "2", "3", "4", "5", "-1", "1.0"),
     "--mode": ("ensemble", "single-shot", "single_shot"),
     "--seed": ("0", "1", "7", "-1", "2147483647", "99999999999999999999", "1.5"),
@@ -39,9 +35,8 @@ FLAG_VALUES = {
 }
 JUNK = ("", "x", "--")
 SWITCHES = ("--renormalize", "--inject-corruption", "--help", "--unknown")
-STATES = (("--alpha", "0.6", "--beta", "0.8i"), ("--alpha", "1"), ("--beta-im", "-1"),
-          ("--alpha-re", "0.6", "--beta", "-0.8"))
-_STATE_FLAGS = ("--alpha", "--beta", "--alpha-re", "--alpha-im", "--beta-re", "--beta-im", "--renormalize")
+STATES = (("--alpha", "0.6", "--beta", "0.8i"), ("--alpha", "1"), ("--beta", "-1i"), ("--alpha", "0.6", "--beta", "-0.8"))
+_STATE_FLAGS = ("--alpha", "--beta", "--renormalize")
 _COMMON_FLAGS = ("--output", "--tol")
 # each command's own flags; a line draws from these and from every flag and switch
 COMMAND_FLAGS = {

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import approx_eq, dagger, kron_all, random_ginibre_density, random_hermitian
+from helpers import approx_eq, dagger, identity, kron_all, random_ginibre_density, random_hermitian
 from qteleport.linalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     eig_hermitian,
-    identity,
     partial_trace,
 )
 from qteleport.reference import B_OPS_REFERENCE, SWAP_0_2_REFERENCE

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import exact_channel, exact_marginals, exact_probabilities
-from qteleport.linalg import identity, partial_trace
+from helpers import exact_channel, exact_marginals, exact_probabilities, identity
+from qteleport.linalg import partial_trace
 from qteleport.protocol import (
     RESOURCE_INDICES,
     THREE_QUBITS,

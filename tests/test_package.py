@@ -43,7 +43,8 @@ def test_each_name_is_the_object_of_its_home_module(name):
 
 
 @pytest.mark.parametrize(
-    "name,home", [("dagger", linalg), ("swap_gate", protocol), ("kron", linalg), ("single_shot", protocol)]
+    "name,home",
+    [("dagger", linalg), ("swap_gate", protocol), ("kron", linalg), ("single_shot", protocol), ("identity", linalg)],
 )
 def test_a_deleted_helper_is_gone_from_the_package_and_its_home_module(name, home):
     assert name not in qteleport.__all__
@@ -133,7 +134,6 @@ WRONG_TYPE_CASES = {
     "checks_to_json-seed": (lambda: serialize.checks_to_json([_PASSED], 1, "x"), _must_be_a("non-negative integer")),
     "CheckResult": (lambda: verify.CheckResult("a", np.True_, "x"), _must_be_a("bool")),
     "complex_pair": (lambda: serialize.complex_pair(None), _must_be_a("Complex")),
-    "identity": (lambda: linalg.identity("x"), _must_be_a("non-negative integer")),
     "random_qubit_state": (lambda: states.random_qubit_state(None), _must_be_a("Generator")),
     "random_density-rng": (lambda: states.random_density(None, 8), _must_be_a("Generator")),
     "random_density-dim": (lambda: states.random_density(np.random.default_rng(0), "x"), _must_be_a("non-negative integer")),
@@ -144,6 +144,23 @@ WRONG_TYPE_CASES = {
     ),
     "ProtocolReport-probabilities": (
         lambda: dataclasses.replace(protocol.run_protocol(states.QubitState(1, 0)), outcome_probabilities=None),
+        _must_be_a("sequence of 4 real numbers"),
+    ),
+    # float() alone drops a numpy complex's imaginary part, reads True as 1.0 and names no field for "abcd"
+    "ProtocolReport-complex-probabilities": (
+        lambda: dataclasses.replace(
+            protocol.run_protocol(states.QubitState(1, 0)), outcome_probabilities=np.array([0.25 + 1j] * 4)
+        ),
+        _must_be_a("sequence of 4 real numbers"),
+    ),
+    "ProtocolReport-bool-probabilities": (
+        lambda: dataclasses.replace(
+            protocol.run_protocol(states.QubitState(1, 0)), outcome_probabilities=(True, False, False, False)
+        ),
+        _must_be_a("sequence of 4 real numbers"),
+    ),
+    "ProtocolReport-str-probabilities": (
+        lambda: dataclasses.replace(protocol.run_protocol(states.QubitState(1, 0)), outcome_probabilities="abcd"),
         _must_be_a("sequence of 4 real numbers"),
     ),
     "SwapComparison": (lambda: protocol.SwapComparison(None, None, None), _must_be_a("QubitState")),

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from helpers import identity
 from qteleport.cli import _fmt_pair, parse_complex
-from qteleport.linalg import identity
 from qteleport.protocol import ENSEMBLE, MODES, RESOURCE_INDICES, run_protocol
 from qteleport.serialize import (
     complex_pair,

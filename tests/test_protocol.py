@@ -13,13 +13,14 @@ from helpers import (
     approx_eq,
     dagger,
     haar_qubit_amplitudes,
+    identity,
     initial_state_pattern,
     kron_all,
     random_ginibre_density,
     run_python,
 )
 from qteleport import ENSEMBLE, RESOURCE_INDICES, SINGLE_SHOT, protocol, states
-from qteleport.linalg import identity, partial_trace
+from qteleport.linalg import partial_trace
 from qteleport.protocol import (
     SWAP_0_2,
     THREE_QUBITS,

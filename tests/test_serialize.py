@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BAD_COUNTS, BAD_SEEDS, run_python
+from helpers import BAD_COUNTS, BAD_SEEDS, identity, run_python
 from qteleport import ENSEMBLE, SINGLE_SHOT
-from qteleport.linalg import identity
 from qteleport.protocol import (
     SWAP_0_2,
     BranchSummary,

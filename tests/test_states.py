@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import haar_qubit_amplitudes, random_hermitian
-from qteleport.linalg import PAULI_X, eig_hermitian, identity, partial_trace
+from helpers import haar_qubit_amplitudes, identity, random_hermitian
+from qteleport.linalg import PAULI_X, eig_hermitian, partial_trace
 from qteleport.protocol import KrausSet, kraus_set
 from qteleport.serialize import density_from_json, density_to_json, matrix_to_json
 from qteleport.states import (

@@ -58,7 +58,6 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     "spectrum-guard-accepts-nan": (LINALG, "if not err <= bound:", "if err > bound:"),
     "spectrum-guard-dropped": (LINALG, "if not err <= bound:", "if False:"),
     "overflow-rescale-dropped": (LINALG, "    if not isfinite(scale):", "    if False:"),
-    "dim-rule-dropped": (LINALG, 'np.eye(_check_int(dim, "dim"), dtype=complex)', "np.eye(dim, dtype=complex)"),
     "int-rule-ignores-low": (LINALG, "if not (_is_int(x) and x >= low):", "if not (_is_int(x) and x >= 0):"),
     "int-rule-returns-input": (LINALG, "    return int(x)\n", "    return x\n"),
     # states
@@ -68,6 +67,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "norm = (norm * norm + abs(z) * abs(z)) ** 0.5",
     ),
     "renormalize-by-norm-squared": (STATES, "        parts /= norm\n", "        parts /= norm * norm\n"),
+    "dim-rule-dropped": (STATES, '    _check_int(dim, "dim")  # 0 passes', "    # 0 passes"),
     "trace-overflow-warns": (STATES, 'with np.errstate(over="ignore", invalid="ignore"):  # a non', "if True:  # a non"),
     "trace-bound-loosened": (STATES, "abs(trace - 1.0), TOL_NORM)", "abs(trace - 1.0), 1.0)"),
     "stack-check-skips-trace": (STATES, "axis2=-1).reshape(-1).tolist():", "axis2=-1).reshape(-1).tolist()[:1]:"),
@@ -109,6 +109,7 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "DensityMatrix(corrected[0] / probabilities[0])",
     ),
     "run-protocol-seed-unchecked": (PROTOCOL, 'rng_seed = _check_int(rng_seed, "rng_seed")', "rng_seed = rng_seed"),
+    "report-accepts-complex-probabilities": (PROTOCOL, "if not all(map(_is_real, probs)):", "if False:"),
     "probability-sum-accepts-nan": (PROTOCOL, "if not total_dev <= 1e-10:", "if total_dev > 1e-10:"),
     "marginal-transposed": (PROTOCOL, 'np.einsum("ajak->jk", tensor)', 'np.einsum("ajak->kj", tensor)'),
     "swap-gate-without-swap": (PROTOCOL, ".swapaxes(0, 2)", ".swapaxes(0, 0)"),
@@ -141,8 +142,8 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
     ),
     "completeness-within-round-off": (
         VERIFY,
-        "if not np.array_equal(total, identity(8)):",
-        "if not np.allclose(total, identity(8), rtol=0, atol=1e-12):",
+        "if not np.array_equal(total, np.eye(8, dtype=complex)):",
+        "if not np.allclose(total, np.eye(8, dtype=complex), rtol=0, atol=1e-12):",
     ),
     "other-resources-unchecked": (
         VERIFY,
